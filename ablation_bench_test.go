@@ -1,8 +1,8 @@
-// ablation_bench_test.go measures the design choices DESIGN.md calls
-// out: the hypergeometric sampler split (chop-down vs HRUA across the
-// parameter spread), the block shuffle's fanout and leaf threshold, the
-// multivariate sampler arrangement (iterative vs recursive), and the
-// all-to-all exchange granularity.
+// ablation_bench_test.go measures the design choices inside the
+// engines: the hypergeometric sampler split (chop-down vs HRUA across
+// the parameter spread), the block shuffle's fanout and leaf threshold,
+// the multivariate sampler arrangement (iterative vs recursive), and
+// the all-to-all exchange granularity.
 package randperm_test
 
 import (

@@ -1,10 +1,11 @@
-// bench_test.go wires the paper's evaluation (experiments E1..E8, see
-// DESIGN.md and EXPERIMENTS.md) into testing.B, one benchmark per
-// experiment, plus the micro-benchmarks behind them; E9's benchmark
-// lives next to its substrate (extmem.BenchmarkExternalShuffle) and E10
-// is a deterministic cost-model table with nothing to time. The
-// permbench command produces the full paper-style tables; these
-// benchmarks make the same workloads repeatable under `go test -bench`.
+// bench_test.go wires the paper's evaluation (experiments E1..E8 of the
+// internal/harness catalogue, see `permbench -list`) into testing.B,
+// one benchmark per experiment, plus the micro-benchmarks behind them;
+// E9's benchmark lives next to its substrate
+// (extmem.BenchmarkExternalShuffle) and E10 is a deterministic
+// cost-model table with nothing to time. The permbench command produces
+// the full paper-style tables; these benchmarks make the same workloads
+// repeatable under `go test -bench`.
 package randperm_test
 
 import (

@@ -1,7 +1,7 @@
 // Command permbench regenerates the paper's evaluation: every experiment
-// in DESIGN.md (E1..E8) prints a table mirroring the measurement the
-// paper reports, with the paper's numbers quoted alongside where it gives
-// any.
+// in the internal/harness catalogue (E1..E10, see -list) prints a table
+// mirroring the measurement the paper reports, with the paper's numbers
+// quoted alongside where it gives any.
 //
 // Usage:
 //

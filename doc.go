@@ -79,11 +79,14 @@
 // with a single-flight LRU of Permuter handles, streamed chunk
 // responses and Prometheus metrics — deployable standalone or as an
 // N-node cluster in which each daemon owns one shard of the permuted
-// domain and serves the rest by routing (internal/cluster; the
-// ChunkSource seam and NewPermuterSource are how such externally
-// backed permutations ride the streaming API). The Materialize,
-// Materialized and OnMaterialize methods on Permuter exist for such
-// handle-reusing callers. See the service layer and cluster layer
+// domain and serves the rest by routing (internal/cluster). Every
+// Permuter reads through one ChunkSource — the keyed bijection, the
+// lazily built buffer of a materializing backend, or, via
+// NewPermuterSource, an externally backed permutation such as a
+// cluster shard set — so all of them ride the same streaming API. The
+// Materialize, Materialized and OnMaterialize methods on Permuter
+// expose the one re-armable build to such handle-reusing callers. See
+// the service layer and cluster layer
 // sections of ARCHITECTURE.md, the operator guide in README.md, and
 // the deployment runbook in OPERATIONS.md.
 package randperm

@@ -1,8 +1,9 @@
 // Package harness turns the paper's evaluation into reproducible
-// experiments: each experiment ID (E1..E8, catalogued in DESIGN.md and
-// EXPERIMENTS.md) is a function from a Config to a text Table that
-// mirrors the rows the paper reports. cmd/permbench is the CLI front
-// end; bench_test.go wires the same workloads into testing.B.
+// experiments: each experiment ID (E1..E10, catalogued in Experiments
+// in registry.go and listed by `permbench -list`) is a function from a
+// Config to a text Table that mirrors the rows the paper reports.
+// cmd/permbench is the CLI front end; bench_test.go wires the same
+// workloads into testing.B.
 package harness
 
 import (

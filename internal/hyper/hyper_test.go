@@ -334,6 +334,44 @@ func TestChopEqualsDistributionOfUrn(t *testing.T) {
 	}
 }
 
+// TestHypergeometricConvergesToBinomial checks the classical limit: for
+// a huge urn with white fraction q, h(t, w, b) ~ B(t, q). The sampler's
+// empirical CDF must be KS-close to the exact binomial CDF.
+func TestHypergeometricConvergesToBinomial(t *testing.T) {
+	src := xrand.NewXoshiro256(6)
+	const trials = 30000
+	const tDraws = 40
+	const q = 0.3
+	const pop = 4000000 // population >> t^2: distributions near-identical
+	w := int64(q * pop)
+	b := int64(pop) - w
+
+	var counts [tDraws + 1]float64
+	for i := 0; i < trials; i++ {
+		counts[Sample(src, tDraws, w, b)]++
+	}
+	// log B(t, q) PMF at k: log C(t, k) + k log q + (t-k) log(1-q).
+	logPMF := func(k int) float64 {
+		lt, _ := math.Lgamma(tDraws + 1)
+		lk, _ := math.Lgamma(float64(k) + 1)
+		lr, _ := math.Lgamma(float64(tDraws-k) + 1)
+		return lt - lk - lr + float64(k)*math.Log(q) + float64(tDraws-k)*math.Log1p(-q)
+	}
+	var empCDF, binCDF, maxDiff float64
+	for k := 0; k <= tDraws; k++ {
+		empCDF += counts[k] / trials
+		binCDF += math.Exp(logPMF(k))
+		if d := math.Abs(empCDF - binCDF); d > maxDiff {
+			maxDiff = d
+		}
+	}
+	// One-sample KS at alpha=0.001 plus the O(t/pop) model distance.
+	limit := 1.95/math.Sqrt(trials) + float64(tDraws)/float64(pop)
+	if maxDiff > limit {
+		t.Fatalf("hyper vs exact binomial KS distance %.4f > %.4f", maxDiff, limit)
+	}
+}
+
 func BenchmarkSampleChop(b *testing.B) {
 	src := xrand.NewXoshiro256(1)
 	for i := 0; i < b.N; i++ {

@@ -20,13 +20,13 @@ type metrics struct {
 	// errors counts requests answered with a 4xx/5xx status.
 	errors atomic.Int64
 
-	// items is the number of permutation values written by the chunk,
-	// at, shuffle and sample endpoints; chunkNs is the wall time the
-	// chunk endpoint spent serving them. chunkNs/items over the chunk
-	// endpoint alone is the served ns/item figure BENCHMARKS.md tracks.
-	items      atomic.Int64
-	chunkItems atomic.Int64
-	chunkNs    atomic.Int64
+	// items is the number of permutation values written by every
+	// endpoint. chunk and epochs split out the two range endpoints'
+	// share, with the wall time spent serving it: chunk.ns/chunk.items
+	// is the served ns/item figure BENCHMARKS.md tracks.
+	items  atomic.Int64
+	chunk  rangeStats
+	epochs rangeStats
 
 	// Handle-cache counters: a hit found a live handle for
 	// (n, seed, backend); a miss constructed one; an eviction dropped
@@ -42,12 +42,9 @@ type metrics struct {
 	// Workload counters: assignLookups counts bucket assignments
 	// served by /v1/assign (each is one O(1) bijection evaluation —
 	// compare against cacheMisses/materializations to verify point
-	// lookups never materialize); epochItems/epochNs mirror the chunk
-	// figures for /v1/epochs, and epochRecycled counts the requests
-	// that asked for recycled-sequence key derivation.
+	// lookups never materialize), and epochRecycled counts the /v1/epochs
+	// requests that asked for recycled-sequence key derivation.
 	assignLookups atomic.Int64
-	epochItems    atomic.Int64
-	epochNs       atomic.Int64
 	epochRecycled atomic.Int64
 
 	// Quota counters: throttled counts requests refused with 429,
@@ -66,6 +63,12 @@ type metrics struct {
 	admissionTimeouts atomic.Int64
 	admissionCancels  atomic.Int64
 	admissionInflight atomic.Int64
+}
+
+// rangeStats is one range endpoint's served values and the wall
+// nanoseconds spent serving them, recorded by Server.serveRange.
+type rangeStats struct {
+	items, ns atomic.Int64
 }
 
 // Endpoint indices for the requests counter.
@@ -104,15 +107,15 @@ func (m *metrics) write(w io.Writer) {
 	}
 	counter("permd_request_errors_total", "Requests answered with a 4xx/5xx status.", m.errors.Load())
 	counter("permd_items_total", "Permutation values served across all endpoints.", m.items.Load())
-	counter("permd_chunk_items_total", "Permutation values served by the chunk endpoint.", m.chunkItems.Load())
-	counter("permd_chunk_ns_total", "Wall nanoseconds spent serving chunk requests.", m.chunkNs.Load())
+	counter("permd_chunk_items_total", "Permutation values served by the chunk endpoint.", m.chunk.items.Load())
+	counter("permd_chunk_ns_total", "Wall nanoseconds spent serving chunk requests.", m.chunk.ns.Load())
 	counter("permd_handle_cache_hits_total", "Chunk/at requests served from a cached Permuter handle.", m.cacheHits.Load())
 	counter("permd_handle_cache_misses_total", "Permuter handles constructed on demand.", m.cacheMisses.Load())
 	counter("permd_handle_cache_evictions_total", "Handles dropped by the LRU past capacity.", m.cacheEvictions.Load())
 	counter("permd_materializations_total", "Lazy full-permutation builds actually run.", m.materializations.Load())
 	counter("permd_assign_lookups_total", "Experiment bucket assignments served by /v1/assign.", m.assignLookups.Load())
-	counter("permd_epoch_items_total", "Permutation values served by the epochs endpoint.", m.epochItems.Load())
-	counter("permd_epoch_ns_total", "Wall nanoseconds spent serving epoch chunk requests.", m.epochNs.Load())
+	counter("permd_epoch_items_total", "Permutation values served by the epochs endpoint.", m.epochs.items.Load())
+	counter("permd_epoch_ns_total", "Wall nanoseconds spent serving epoch chunk requests.", m.epochs.ns.Load())
 	counter("permd_epoch_recycled_total", "Epoch requests served in recycled-sequence mode.", m.epochRecycled.Load())
 	counter("permd_quota_throttled_total", "Requests refused with 429 by the per-client quota.", m.quotaThrottled.Load())
 	counter("permd_quota_items_charged_total", "Items debited from client quota buckets.", m.quotaItems.Load())
@@ -135,8 +138,8 @@ func (m *metrics) write(w io.Writer) {
 	fmt.Fprintf(w, "# TYPE permd_handle_cache_hit_rate gauge\n")
 	fmt.Fprintf(w, "permd_handle_cache_hit_rate %g\n", hitRate)
 	nsPerItem := 0.0
-	if ci := m.chunkItems.Load(); ci > 0 {
-		nsPerItem = float64(m.chunkNs.Load()) / float64(ci)
+	if ci := m.chunk.items.Load(); ci > 0 {
+		nsPerItem = float64(m.chunk.ns.Load()) / float64(ci)
 	}
 	fmt.Fprintf(w, "# HELP permd_chunk_ns_per_item Served chunk nanoseconds per value since start.\n")
 	fmt.Fprintf(w, "# TYPE permd_chunk_ns_per_item gauge\n")

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"flag"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -14,27 +13,19 @@ import (
 	"randperm/internal/harness/testkit"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the /metrics golden files under testdata/")
-
 // wallNs matches the samples whose values are wall-clock nanoseconds:
 // the only part of a /metrics scrape a fixed request mix cannot pin.
 var wallNs = regexp.MustCompile(`(?m)^(permd_chunk_ns_total|permd_epoch_ns_total|permd_chunk_ns_per_item|permd_cluster_shard_build_ns_total) \S+$`)
 
 // checkMetricsGolden compares a scrape, wall-ns samples masked, with
-// testdata/name byte for byte (or rewrites the file under -update).
+// testdata/name byte for byte.
 func checkMetricsGolden(t *testing.T, name, scrape string) {
 	t.Helper()
 	got := wallNs.ReplaceAllString(scrape, "$1 <ns>")
 	path := filepath.Join("testdata", name)
-	if *updateGolden {
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
+		t.Fatal(err)
 	}
 	if got != string(want) {
 		t.Errorf("/metrics differs from %s\n--- got ---\n%s--- want ---\n%s", path, got, want)

@@ -50,6 +50,7 @@ import (
 	"fmt"
 	"mime"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 	"time"
@@ -379,9 +380,22 @@ func (s *Server) httpError(w http.ResponseWriter, code int, format string, args 
 	http.Error(w, "permd: "+fmt.Sprintf(format, args...), code)
 }
 
-// queryInt64 parses query parameter name, or returns (def, true) when absent.
-func queryInt64(r *http.Request, name string, def int64) (int64, error) {
-	v := r.URL.Query().Get(name)
+// querySeed parses the optional seed query parameter (default 0).
+func querySeed(q url.Values) (uint64, error) {
+	sv := q.Get("seed")
+	if sv == "" {
+		return 0, nil
+	}
+	seed, err := strconv.ParseUint(sv, 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("bad seed %q: want a decimal uint64", sv)
+	}
+	return seed, nil
+}
+
+// queryInt64 parses query parameter name, or returns (def, nil) when absent.
+func queryInt64(q url.Values, name string, def int64) (int64, error) {
+	v := q.Get(name)
 	if v == "" {
 		return def, nil
 	}
@@ -402,7 +416,8 @@ func (s *Server) permuterFor(w http.ResponseWriter, r *http.Request) (e *handleE
 		s.httpError(w, http.StatusBadRequest, "bad seed %q: want a decimal uint64", r.PathValue("seed"))
 		return nil, 0, 0, false
 	}
-	n, err = queryInt64(r, "n", -1)
+	q := r.URL.Query()
+	n, err = queryInt64(q, "n", -1)
 	if err != nil {
 		s.httpError(w, http.StatusBadRequest, "%v", err)
 		return nil, 0, 0, false
@@ -412,7 +427,7 @@ func (s *Server) permuterFor(w http.ResponseWriter, r *http.Request) (e *handleE
 		return nil, 0, 0, false
 	}
 	backend = s.defBackend
-	if bs := r.URL.Query().Get("backend"); bs != "" {
+	if bs := q.Get("backend"); bs != "" {
 		backend, err = randperm.ParseBackend(bs)
 		if err != nil {
 			s.httpError(w, http.StatusBadRequest, "%v", err)
@@ -425,20 +440,55 @@ func (s *Server) permuterFor(w http.ResponseWriter, r *http.Request) (e *handleE
 			n, s.cfg.MaxN, backend)
 		return nil, 0, 0, false
 	}
-	e, hit, err := s.cache.get(handleKey{n: n, seed: seed, backend: backend})
+	e, ok = s.resolve(w, r, handleKey{n: n, seed: seed, backend: backend})
+	return e, n, backend, ok
+}
+
+// resolve fetches key's handle from the cache, constructing it on a
+// miss, and records the permutation and the cache outcome on the
+// request event. It answers the error itself when it returns ok ==
+// false.
+func (s *Server) resolve(w http.ResponseWriter, r *http.Request, key handleKey) (*handleEntry, bool) {
+	e, hit, err := s.cache.get(key)
 	if err != nil {
 		s.httpError(w, http.StatusInternalServerError, "building permutation: %v", err)
-		return nil, 0, 0, false
+		return nil, false
 	}
 	if ri := reqInfoOf(r); ri != nil {
-		ri.n, ri.seed, ri.backend = n, seed, backend.String()
+		ri.n, ri.seed, ri.backend = key.n, key.seed, key.backend.String()
 		ri.cache = "miss"
 		if hit {
 			ri.cache = "hit"
 		}
 	}
-	w.Header().Set("Permd-Backend", backend.String())
-	return e, n, backend, true
+	w.Header().Set("Permd-Backend", key.backend.String())
+	return e, true
+}
+
+// rangeQuery parses the ?start=&len= of a range request over [0, n):
+// start defaults to 0 and len to min(MaxChunk, n-start), and len is
+// clamped to the domain end. It answers the error itself when it
+// returns ok == false.
+func (s *Server) rangeQuery(w http.ResponseWriter, q url.Values, n int64) (start, length int64, ok bool) {
+	start, err := queryInt64(q, "start", 0)
+	if err != nil {
+		s.httpError(w, http.StatusBadRequest, "%v", err)
+		return 0, 0, false
+	}
+	if start < 0 || start > n {
+		s.httpError(w, http.StatusBadRequest, "start=%d outside [0, %d]", start, n)
+		return 0, 0, false
+	}
+	length = min(n-start, int64(s.cfg.MaxChunk))
+	if lv := q.Get("len"); lv != "" {
+		length, err = strconv.ParseInt(lv, 10, 64)
+		if err != nil || length < 0 {
+			s.httpError(w, http.StatusBadRequest, "bad len=%q: want a non-negative decimal integer", lv)
+			return 0, 0, false
+		}
+		length = min(length, n-start)
+	}
+	return start, length, true
 }
 
 // admitItems charges cost items to the requesting client's quota bucket,
@@ -504,26 +554,9 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	pm := e.pm
-	start, err := queryInt64(r, "start", 0)
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, "%v", err)
+	start, length, ok := s.rangeQuery(w, r.URL.Query(), n)
+	if !ok {
 		return
-	}
-	if start < 0 || start > n {
-		s.httpError(w, http.StatusBadRequest, "start=%d outside [0, %d]", start, n)
-		return
-	}
-	length := min(n-start, int64(s.cfg.MaxChunk))
-	if lv := r.URL.Query().Get("len"); lv != "" {
-		length, err = strconv.ParseInt(lv, 10, 64)
-		if err != nil || length < 0 {
-			s.httpError(w, http.StatusBadRequest, "bad len=%q: want a non-negative decimal integer", lv)
-			return
-		}
-		if rest := n - start; length > rest {
-			length = rest
-		}
 	}
 	if !s.admitItems(w, r, max(length, 1)) {
 		return
@@ -531,50 +564,83 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 	if !s.admitBuild(w, r, e) {
 		return
 	}
+	// A cluster read can fail at any peer at any span boundary, and the
+	// failure-semantics contract (OPERATIONS.md) promises no partial
+	// bytes, so a sharded range is served atomically.
+	atomic := backend == randperm.BackendCluster && s.node != nil
+	s.serveRange(w, r, e.pm, start, length, atomic, &s.met.chunk)
+}
 
+// serveRange writes π(start) .. π(start+length-1) one decimal per line
+// and records the values served and the wall time on stats (and on the
+// request event). A paged range reads through the pooled MaxChunk
+// buffer, so a huge range holds O(MaxChunk) memory. An atomic range is
+// read whole into memory before the first byte goes out, so a failed
+// read becomes a 500 with no partial body; callers bound its length
+// (cluster requests passed the MaxN gate). Error responses — a 500
+// before the first byte, truncation after — are handled here.
+func (s *Server) serveRange(w http.ResponseWriter, r *http.Request, pm *randperm.Permuter, start, length int64, atomic bool, stats *rangeStats) {
 	began := time.Now()
-	if backend == randperm.BackendCluster && s.node != nil {
-		// Atomic path: a cluster read can fail at any peer at any span
-		// boundary, and the failure-semantics contract (OPERATIONS.md)
-		// promises no partial bytes — so the whole response is assembled
-		// in memory before the first byte goes out. Bounded: cluster
-		// requests passed the MaxN gate, so length ≤ MaxN words.
-		out := make([]int64, length)
-		if _, err := pm.Chunk(out, start); err != nil {
-			s.httpError(w, http.StatusInternalServerError, "reading chunk: %v", err)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		bw := bufio.NewWriterSize(w, 1<<15)
-		var line []byte
-		for _, v := range out {
-			line = strconv.AppendInt(line[:0], v, 10)
-			line = append(line, '\n')
-			if _, err := bw.Write(line); err != nil {
-				return // client went away
-			}
-		}
-		if err := bw.Flush(); err != nil {
-			return
-		}
-		s.met.items.Add(length)
-		s.met.chunkItems.Add(length)
-		s.met.chunkNs.Add(time.Since(began).Nanoseconds())
-		if ri := reqInfoOf(r); ri != nil {
-			ri.items = length
-		}
-		return
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	var buf []int64
+	if atomic {
+		buf = make([]int64, length)
+	} else {
+		bufp := s.bufs.Get().(*[]int64)
+		defer s.bufs.Put(bufp)
+		buf = *bufp
 	}
-	served, ok := s.streamPaged(w, r, pm, start, length)
-	if !ok {
+	bw := bufio.NewWriterSize(w, 1<<15)
+	served := int64(0)
+	for served < length {
+		if served > 0 && r.Context().Err() != nil {
+			// Client gone mid-stream: stop paging instead of formatting
+			// values nobody will read.
+			s.met.errors.Add(1)
+			return
+		}
+		page := buf[:min(length-served, int64(len(buf)))]
+		m, err := pm.Chunk(page, start+served)
+		if err != nil {
+			if served == 0 {
+				// Nothing flushed yet: a real error response is still
+				// possible — a cluster peer failure surfaces here.
+				s.httpError(w, http.StatusInternalServerError, "reading chunk: %v", err)
+				return
+			}
+			// Mid-stream the headers are gone; all we can do is
+			// truncate the stream.
+			s.met.errors.Add(1)
+			return
+		}
+		if writeDecimals(bw, page[:m]) != nil {
+			return // client went away
+		}
+		served += int64(m)
+	}
+	if bw.Flush() != nil {
 		return
 	}
 	s.met.items.Add(served)
-	s.met.chunkItems.Add(served)
-	s.met.chunkNs.Add(time.Since(began).Nanoseconds())
+	stats.items.Add(served)
+	stats.ns.Add(time.Since(began).Nanoseconds())
 	if ri := reqInfoOf(r); ri != nil {
 		ri.items = served
 	}
+}
+
+// writeDecimals writes vals to bw one decimal per line, stopping at the
+// first write error (the client went away).
+func writeDecimals(bw *bufio.Writer, vals []int64) error {
+	var line []byte
+	for _, v := range vals {
+		line = strconv.AppendInt(line[:0], v, 10)
+		line = append(line, '\n')
+		if _, err := bw.Write(line); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // handleAt serves GET /v1/perm/{seed}/at?n=&i=&backend= — the single
@@ -604,7 +670,7 @@ func (s *Server) handleAt(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	i, err := queryInt64(r, "i", -1)
+	i, err := queryInt64(r.URL.Query(), "i", -1)
 	if err != nil {
 		s.httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -644,9 +710,9 @@ func (s *Server) handleAt(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleShuffle(w http.ResponseWriter, r *http.Request) {
 	s.met.requests[epShuffle].Add(1)
 	q := r.URL.Query()
-	seed, err := strconv.ParseUint(q.Get("seed"), 10, 64)
-	if q.Get("seed") != "" && err != nil {
-		s.httpError(w, http.StatusBadRequest, "bad seed %q: want a decimal uint64", q.Get("seed"))
+	seed, err := querySeed(q)
+	if err != nil {
+		s.httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	backend := randperm.BackendSharedMem
@@ -745,7 +811,8 @@ func (s *Server) handleShuffle(w http.ResponseWriter, r *http.Request) {
 // uniform; there is no backend parameter to gate).
 func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 	s.met.requests[epSample].Add(1)
-	n, err := queryInt64(r, "n", -1)
+	q := r.URL.Query()
+	n, err := queryInt64(q, "n", -1)
 	if err != nil {
 		s.httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -758,7 +825,7 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusBadRequest, "n=%d exceeds this server's bound %d", n, s.cfg.MaxN)
 		return
 	}
-	k, err := queryInt64(r, "k", -1)
+	k, err := queryInt64(q, "k", -1)
 	if err != nil {
 		s.httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -767,12 +834,10 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusBadRequest, "k=%d outside [0, n=%d]", k, n)
 		return
 	}
-	var seed uint64
-	if sv := r.URL.Query().Get("seed"); sv != "" {
-		if seed, err = strconv.ParseUint(sv, 10, 64); err != nil {
-			s.httpError(w, http.StatusBadRequest, "bad seed %q: want a decimal uint64", sv)
-			return
-		}
+	seed, err := querySeed(q)
+	if err != nil {
+		s.httpError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 	if !s.admitItems(w, r, max(k, 1)) {
 		return
@@ -788,12 +853,7 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	bw := bufio.NewWriterSize(w, 1<<15)
-	var line []byte
-	for _, v := range sample {
-		line = strconv.AppendInt(line[:0], v, 10)
-		line = append(line, '\n')
-		bw.Write(line)
-	}
+	writeDecimals(bw, sample)
 	bw.Flush()
 	s.met.items.Add(int64(len(sample)))
 	if ri := reqInfoOf(r); ri != nil {

@@ -1,10 +1,9 @@
 package service
 
 import (
-	"bufio"
 	"net/http"
+	"net/url"
 	"strconv"
-	"time"
 
 	"randperm"
 	"randperm/internal/workload"
@@ -56,8 +55,8 @@ func (s *Server) epocher(seed uint64, mode workload.EpochMode) *workload.Epocher
 // assignment a point lookup and an epoch a pure function of its key),
 // so a ?backend= naming any other engine is refused rather than
 // silently served from a different law. Reports whether to proceed.
-func (s *Server) requireBijective(w http.ResponseWriter, r *http.Request, endpoint string) bool {
-	bs := r.URL.Query().Get("backend")
+func (s *Server) requireBijective(w http.ResponseWriter, q url.Values, endpoint string) bool {
+	bs := q.Get("backend")
 	if bs == "" {
 		return true
 	}
@@ -87,15 +86,12 @@ func (s *Server) requireBijective(w http.ResponseWriter, r *http.Request, endpoi
 func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 	s.met.requests[epAssign].Add(1)
 	q := r.URL.Query()
-	var seed uint64
-	var err error
-	if sv := q.Get("seed"); sv != "" {
-		if seed, err = strconv.ParseUint(sv, 10, 64); err != nil {
-			s.httpError(w, http.StatusBadRequest, "bad seed %q: want a decimal uint64", sv)
-			return
-		}
+	seed, err := querySeed(q)
+	if err != nil {
+		s.httpError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
-	n, err := queryInt64(r, "n", -1)
+	n, err := queryInt64(q, "n", -1)
 	if err != nil {
 		s.httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -109,10 +105,10 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusBadRequest, "bad spec: %v", err)
 		return
 	}
-	if !s.requireBijective(w, r, "/v1/assign") {
+	if !s.requireBijective(w, q, "/v1/assign") {
 		return
 	}
-	id, err := queryInt64(r, "id", -1)
+	id, err := queryInt64(q, "id", -1)
 	if err != nil {
 		s.httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -124,9 +120,8 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 	if !s.admitItems(w, r, 1) {
 		return
 	}
-	e, hit, err := s.cache.get(handleKey{n: n, seed: seed, backend: randperm.BackendBijective})
-	if err != nil {
-		s.httpError(w, http.StatusInternalServerError, "building permutation: %v", err)
+	e, ok := s.resolve(w, r, handleKey{n: n, seed: seed, backend: randperm.BackendBijective})
+	if !ok {
 		return
 	}
 	var one [1]int64
@@ -135,18 +130,13 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	idx, name := spec.Find(n, one[0])
-	w.Header().Set("Permd-Backend", randperm.BackendBijective.String())
 	w.Header().Set("Permd-Bucket", strconv.Itoa(idx))
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.Write([]byte(name + "\n"))
 	s.met.assignLookups.Add(1)
 	s.met.items.Add(1)
 	if ri := reqInfoOf(r); ri != nil {
-		ri.n, ri.seed, ri.backend, ri.items = n, seed, randperm.BackendBijective.String(), 1
-		ri.cache = "miss"
-		if hit {
-			ri.cache = "hit"
-		}
+		ri.items = 1
 	}
 }
 
@@ -162,15 +152,12 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleEpochs(w http.ResponseWriter, r *http.Request) {
 	s.met.requests[epEpochs].Add(1)
 	q := r.URL.Query()
-	var seed uint64
-	var err error
-	if sv := q.Get("seed"); sv != "" {
-		if seed, err = strconv.ParseUint(sv, 10, 64); err != nil {
-			s.httpError(w, http.StatusBadRequest, "bad seed %q: want a decimal uint64", sv)
-			return
-		}
+	seed, err := querySeed(q)
+	if err != nil {
+		s.httpError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
-	n, err := queryInt64(r, "n", -1)
+	n, err := queryInt64(q, "n", -1)
 	if err != nil {
 		s.httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -179,7 +166,7 @@ func (s *Server) handleEpochs(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusBadRequest, "missing or negative n: the dataset size n is required")
 		return
 	}
-	epoch, err := queryInt64(r, "epoch", 0)
+	epoch, err := queryInt64(q, "epoch", 0)
 	if err != nil {
 		s.httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -193,114 +180,25 @@ func (s *Server) handleEpochs(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if !s.requireBijective(w, r, "/v1/epochs") {
+	if !s.requireBijective(w, q, "/v1/epochs") {
 		return
 	}
-	start, err := queryInt64(r, "start", 0)
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, "%v", err)
+	start, length, ok := s.rangeQuery(w, q, n)
+	if !ok {
 		return
-	}
-	if start < 0 || start > n {
-		s.httpError(w, http.StatusBadRequest, "start=%d outside [0, %d]", start, n)
-		return
-	}
-	length := min(n-start, int64(s.cfg.MaxChunk))
-	if lv := q.Get("len"); lv != "" {
-		length, err = strconv.ParseInt(lv, 10, 64)
-		if err != nil || length < 0 {
-			s.httpError(w, http.StatusBadRequest, "bad len=%q: want a non-negative decimal integer", lv)
-			return
-		}
-		if rest := n - start; length > rest {
-			length = rest
-		}
 	}
 	if !s.admitItems(w, r, max(length, 1)) {
 		return
 	}
 	key := s.epocher(seed, mode).Key(epoch)
-	e, hit, err := s.cache.get(handleKey{n: n, seed: key, backend: randperm.BackendBijective})
-	if err != nil {
-		s.httpError(w, http.StatusInternalServerError, "building permutation: %v", err)
+	e, ok := s.resolve(w, r, handleKey{n: n, seed: key, backend: randperm.BackendBijective})
+	if !ok {
 		return
-	}
-	if ri := reqInfoOf(r); ri != nil {
-		ri.n, ri.seed, ri.backend = n, key, randperm.BackendBijective.String()
-		ri.cache = "miss"
-		if hit {
-			ri.cache = "hit"
-		}
 	}
 	if mode == workload.EpochRecycled {
 		s.met.epochRecycled.Add(1)
 	}
-	w.Header().Set("Permd-Backend", randperm.BackendBijective.String())
 	w.Header().Set("Permd-Epoch-Key", strconv.FormatUint(key, 10))
 	w.Header().Set("Permd-Epoch-Mode", mode.String())
-
-	began := time.Now()
-	served, ok := s.streamPaged(w, r, e.pm, start, length)
-	if !ok {
-		return
-	}
-	s.met.items.Add(served)
-	s.met.epochItems.Add(served)
-	s.met.epochNs.Add(time.Since(began).Nanoseconds())
-	if ri := reqInfoOf(r); ri != nil {
-		ri.items = served
-	}
-}
-
-// streamPaged writes π(start) .. π(start+length-1) one decimal per
-// line, paging through the pooled MaxChunk buffer so a huge range
-// holds O(MaxChunk) memory. It reports the items served and whether
-// the stream completed; error responses (500 before the first byte,
-// truncation after) are handled here. Shared by the chunk and epochs
-// endpoints — callers own their endpoint-specific metrics.
-func (s *Server) streamPaged(w http.ResponseWriter, r *http.Request, pm *randperm.Permuter, start, length int64) (int64, bool) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	bufp := s.bufs.Get().(*[]int64)
-	defer s.bufs.Put(bufp)
-	buf := *bufp
-	bw := bufio.NewWriterSize(w, 1<<15)
-	var line []byte
-	served := int64(0)
-	for served < length {
-		if served > 0 && r.Context().Err() != nil {
-			// Client gone mid-stream: stop paging instead of formatting
-			// values nobody will read.
-			s.met.errors.Add(1)
-			return served, false
-		}
-		page := buf
-		if rest := length - served; rest < int64(len(page)) {
-			page = page[:rest]
-		}
-		m, err := pm.Chunk(page, start+served)
-		if err != nil {
-			if served == 0 {
-				// Nothing flushed yet: a real error response is still
-				// possible — a cluster peer failure surfaces here.
-				s.httpError(w, http.StatusInternalServerError, "reading chunk: %v", err)
-				return 0, false
-			}
-			// Mid-stream the headers are gone; all we can do is
-			// truncate the stream.
-			s.met.errors.Add(1)
-			return served, false
-		}
-		for _, v := range page[:m] {
-			line = strconv.AppendInt(line[:0], v, 10)
-			line = append(line, '\n')
-			if _, err := bw.Write(line); err != nil {
-				return served, false // client went away
-			}
-		}
-		served += int64(m)
-	}
-	if err := bw.Flush(); err != nil {
-		return served, false
-	}
-	return served, true
+	s.serveRange(w, r, e.pm, start, length, false, &s.met.epochs)
 }

@@ -292,7 +292,10 @@ func parallelShuffle[T any](data []T, opt Options, cancel <-chan struct{}) ([]T,
 func ParallelShuffleBlocks[T any](blocks [][]T, targetSizes []int64, opt Options) ([][]T, Report, error) {
 	opt = opt.withDefaults()
 	switch opt.Backend {
-	case BackendSharedMem:
+	case BackendSharedMem, BackendCluster:
+		// On BackendCluster the blocked form IS the cluster
+		// decomposition: prescribed margins, exact matrix, per-block
+		// streams — identical to the shared-memory scatter.
 		out, err := engine.PermuteBlocks(blocks, targetSizes, engine.Options{
 			Workers: opt.Parallelism,
 			Seed:    opt.Seed,
@@ -303,18 +306,6 @@ func ParallelShuffleBlocks[T any](blocks [][]T, targetSizes []int64, opt Options
 		return out, Report{Procs: len(blocks)}, nil
 	case BackendInPlace:
 		out, err := engine.PermuteBlocksInPlace(blocks, targetSizes, engine.Options{
-			Workers: opt.Parallelism,
-			Seed:    opt.Seed,
-		})
-		if err != nil {
-			return nil, Report{}, err
-		}
-		return out, Report{Procs: len(blocks)}, nil
-	case BackendCluster:
-		// The blocked form IS the cluster decomposition: prescribed
-		// margins, exact matrix, per-block streams — identical to the
-		// shared-memory scatter.
-		out, err := engine.PermuteBlocks(blocks, targetSizes, engine.Options{
 			Workers: opt.Parallelism,
 			Seed:    opt.Seed,
 		})

@@ -18,18 +18,19 @@ import (
 // walk data far larger than any one machine's memory, the coarse
 // grained setting the source paper starts from.
 //
-// The handle amortizes setup across calls. On BackendBijective the
-// permutation is never materialized at all: a keyed Feistel bijection
-// (built once in NewPermuter) computes each position in O(1) state, so
-// Chunk fills its destination with zero allocations regardless of n,
-// and n may exceed available memory by any factor. On the materializing
-// backends (Sim, SharedMem, InPlace, Cluster) the handle builds the
-// full permutation lazily on first use — one n-word buffer, built once
-// with the selected backend's engine and reused by every subsequent
-// Chunk, Iter and At. A handle built by NewPermuterSource instead
-// delegates every read to its ChunkSource — the permd cluster serves
-// its sharded permutations this way, each node holding only its own
-// n/N-word shard and fetching the rest from the owning peers.
+// Every read goes through one ChunkSource. On BackendBijective it is a
+// keyed Feistel bijection (built once in NewPermuter) that computes
+// each position in O(1) state, so Chunk fills its destination with
+// zero allocations regardless of n, and n may exceed available memory
+// by any factor. On the materializing backends (Sim, SharedMem,
+// InPlace, Cluster) it is one re-armable build: the full permutation,
+// constructed lazily on first use with the selected backend's engine
+// into one n-word buffer and reused by every subsequent Chunk, Iter and
+// At. A handle built by NewPermuterSource reads from the caller's
+// ChunkSource instead — the permd cluster serves its sharded
+// permutations this way, each node holding only its own n/N-word shard
+// and fetching the rest from the owning peers. Chunk validates the
+// range and delegates; At and Iter are Chunk reads.
 //
 // Determinism: the permutation a Permuter exposes is a pure function of
 // (Backend, Seed, Procs, n) — on BackendBijective, of (Seed, Rounds, n),
@@ -52,12 +53,9 @@ import (
 // BackendBijective constant). Check Options.Backend.ExactUniform when
 // exactness matters.
 type Permuter struct {
-	n    int64
-	opt  Options
-	bij  *engine.Bijection       // non-nil iff opt.Backend == BackendBijective
-	mat  atomic.Pointer[permMat] // lazily-built state of the materializing backends
-	src  ChunkSource             // non-nil iff built by NewPermuterSource
-	hook func()                  // OnMaterialize callback, fired inside each build
+	n   int64
+	opt Options
+	src ChunkSource // bijSource, *lazySource, or the NewPermuterSource argument
 }
 
 // A ChunkSource is a pluggable backing for a Permuter: anything that
@@ -77,14 +75,92 @@ type ChunkSource interface {
 	Chunk(dst []int64, start int64) (int, error)
 }
 
-// permMat is the lazily-materialized permutation; a fresh one is
-// installed by Reset — and by a failed or canceled build — so the
-// sync.Once can be re-armed.
+// newSource builds the source a handle owns for opt's backend: the
+// keyed bijection on BackendBijective, a lazily built buffer (firing
+// hook on each build) on every other. NewPermuter installs it and Reset
+// rebuilds it. Both sources are read only through Permuter.Chunk, so
+// they receive ranges already validated and clamped to [0, n).
+func newSource(n int64, opt Options, hook func()) ChunkSource {
+	if opt.Backend == BackendBijective {
+		return bijSource{newBijection(n, opt)}
+	}
+	l := &lazySource{n: n, opt: opt, hook: hook}
+	l.mat.Store(&permMat{})
+	return l
+}
+
+// bijSource serves BackendBijective: batch evaluation runs the chunk's
+// indices through the Feistel network bijLanes at a time (see
+// engine.Bijection.Chunk), which is what makes the streamed path's
+// ns/index competitive with the materializing backends.
+type bijSource struct{ b *engine.Bijection }
+
+func (s bijSource) Len() int64 { return s.b.N() }
+
+func (s bijSource) Chunk(dst []int64, start int64) (int, error) {
+	s.b.Chunk(dst, start)
+	return len(dst), nil
+}
+
+// lazySource serves the materializing backends from one n-word buffer,
+// built on first access by running the backend's engine over the
+// identity. It owns the re-armable build, the OnMaterialize hook and
+// the build's cancellation.
+type lazySource struct {
+	n    int64
+	opt  Options
+	hook func()                  // OnMaterialize callback, fired inside each build
+	mat  atomic.Pointer[permMat] // the current build; swapped for a fresh one when a build fails
+}
+
+// permMat is one lazy build; a fresh one is installed by a failed or
+// canceled build so the sync.Once can be re-armed.
 type permMat struct {
 	once  sync.Once
 	perm  []int64
 	err   error
 	built atomic.Bool // set after a successful build, for Materialized
+}
+
+func (l *lazySource) Len() int64 { return l.n }
+
+func (l *lazySource) Chunk(dst []int64, start int64) (int, error) {
+	perm, err := l.build(context.Background())
+	if err != nil {
+		return 0, err
+	}
+	return copy(dst, perm[start:]), nil
+}
+
+func (l *lazySource) Materialized() bool { return l.mat.Load().built.Load() }
+
+// build builds (once) and returns the full permutation; racing callers
+// all observe the completed build. The build threads ctx.Done() into the
+// engine worker pools, and a build that fails — canceled or otherwise —
+// swaps a fresh permMat into place so the next accessor retries instead
+// of replaying the error forever. The swap is a CompareAndSwap against
+// the permMat that ran the build, so a newer build is never clobbered.
+func (l *lazySource) build(ctx context.Context) ([]int64, error) {
+	m := l.mat.Load()
+	m.once.Do(func() {
+		id := make([]int64, l.n)
+		for i := range id {
+			id[i] = int64(i)
+		}
+		m.perm, _, m.err = parallelShuffle(id, l.opt, ctx.Done())
+		if m.err != nil && ctx.Err() != nil {
+			m.err = fmt.Errorf("randperm: materialize: %w", ctx.Err())
+		}
+		if m.err != nil {
+			l.mat.CompareAndSwap(m, &permMat{})
+			return
+		}
+		if l.hook != nil {
+			l.hook()
+		}
+		m.built.Store(true)
+	})
+	return m.perm, m.err
 }
 
 // NewPermuter validates the options and returns a handle on the
@@ -102,13 +178,7 @@ func NewPermuter(n int64, opt Options) (*Permuter, error) {
 	if opt.Procs < 1 {
 		return nil, fmt.Errorf("randperm: Procs must be positive, got %d", opt.Procs)
 	}
-	p := &Permuter{n: n, opt: opt}
-	if opt.Backend == BackendBijective {
-		p.bij = newBijection(n, opt)
-	} else {
-		p.mat.Store(&permMat{})
-	}
-	return p, nil
+	return &Permuter{n: n, opt: opt, src: newSource(n, opt, nil)}, nil
 }
 
 // newBijection builds the keyed bijection opt selects: the default
@@ -159,27 +229,10 @@ func (p *Permuter) Chunk(dst []int64, start int64) (int, error) {
 	if start < 0 || start > p.n {
 		return 0, fmt.Errorf("randperm: Chunk start %d outside [0, %d]", start, p.n)
 	}
-	m := int64(len(dst))
-	if rest := p.n - start; rest < m {
-		m = rest
+	if rest := p.n - start; int64(len(dst)) > rest {
+		dst = dst[:rest]
 	}
-	if p.src != nil {
-		return p.src.Chunk(dst[:m], start)
-	}
-	if p.bij != nil {
-		// Batch evaluation: the chunk's indices run through the Feistel
-		// network bijLanes at a time (see engine.Bijection.Chunk), which
-		// is what makes the streamed path's ns/index competitive with
-		// the materializing backends.
-		p.bij.Chunk(dst[:m], start)
-		return int(m), nil
-	}
-	perm, err := p.materialize()
-	if err != nil {
-		return 0, err
-	}
-	copy(dst[:m], perm[start:start+m])
-	return int(m), nil
+	return p.src.Chunk(dst, start)
 }
 
 // At returns π(i), the single position i of the permutation. i must be
@@ -189,22 +242,17 @@ func (p *Permuter) At(i int64) int64 {
 	if i < 0 || i >= p.n {
 		panic(fmt.Sprintf("randperm: Permuter.At(%d) outside [0, %d)", i, p.n))
 	}
-	if p.src != nil {
-		var one [1]int64
-		if _, err := p.src.Chunk(one[:], i); err != nil {
-			panic(err)
-		}
-		return one[0]
-	}
-	if p.bij != nil {
-		return p.bij.Index(i)
-	}
-	perm, err := p.materialize()
-	if err != nil {
+	var one [1]int64
+	if _, err := p.Chunk(one[:], i); err != nil {
 		panic(err)
 	}
-	return perm[i]
+	return one[0]
 }
+
+// iterPage is the page Iter pulls through Chunk: large enough to batch
+// the bijection and amortize a remote source's round trips, small enough
+// that an early break wastes little work.
+const iterPage = 1 << 12
 
 // Iter returns a Go 1.23+ range-over-func iterator yielding
 // π(0), π(1), …, π(n-1) in order:
@@ -218,58 +266,39 @@ func (p *Permuter) At(i int64) int64 {
 // instead).
 func (p *Permuter) Iter() iter.Seq[int64] {
 	return func(yield func(int64) bool) {
-		if p.src != nil {
-			buf := make([]int64, min(p.n, 1<<16))
-			for pos := int64(0); pos < p.n; {
-				m, err := p.src.Chunk(buf, pos)
-				if err != nil {
-					panic(err)
-				}
-				for _, v := range buf[:m] {
-					if !yield(v) {
-						return
-					}
-				}
-				pos += int64(m)
+		buf := make([]int64, min(p.n, iterPage))
+		for pos := int64(0); pos < p.n; {
+			m, err := p.Chunk(buf, pos)
+			if err != nil {
+				panic(err)
 			}
-			return
-		}
-		if p.bij != nil {
-			for i := int64(0); i < p.n; i++ {
-				if !yield(p.bij.Index(i)) {
+			for _, v := range buf[:m] {
+				if !yield(v) {
 					return
 				}
 			}
-			return
-		}
-		perm, err := p.materialize()
-		if err != nil {
-			panic(err)
-		}
-		for _, v := range perm {
-			if !yield(v) {
-				return
-			}
+			pos += int64(m)
 		}
 	}
 }
 
 // Reset re-keys the handle to a new seed, as if it had been constructed
 // with NewPermuter(Len(), opt-with-new-Seed): the bijection is re-keyed
-// in place and any materialized permutation is dropped and lazily
-// rebuilt on next access. Reset must not be called concurrently with
-// any other method on the handle. A sourced handle (NewPermuterSource)
-// panics: it does not own the storage a re-key would have to rebuild.
+// and any materialized permutation is dropped and lazily rebuilt on next
+// access. Reset must not be called concurrently with any other method on
+// the handle. A sourced handle (NewPermuterSource) panics: it does not
+// own the storage a re-key would have to rebuild.
 func (p *Permuter) Reset(seed uint64) {
-	if p.src != nil {
+	var hook func()
+	switch s := p.src.(type) {
+	case *lazySource:
+		hook = s.hook
+	case bijSource:
+	default:
 		panic("randperm: Reset on a source-backed Permuter; construct a new source instead")
 	}
 	p.opt.Seed = seed
-	if p.opt.Backend == BackendBijective {
-		p.bij = newBijection(p.n, p.opt)
-		return
-	}
-	p.mat.Store(&permMat{})
+	p.src = newSource(p.n, p.opt, hook)
 }
 
 // Materialized reports whether the handle's lazy build has already run.
@@ -280,17 +309,8 @@ func (p *Permuter) Reset(seed uint64) {
 // can use it to tell which cached handles are paying n words of memory
 // and which are still cheap.
 func (p *Permuter) Materialized() bool {
-	if p.src != nil {
-		if m, ok := p.src.(interface{ Materialized() bool }); ok {
-			return m.Materialized()
-		}
-		return false
-	}
-	m := p.mat.Load()
-	if m == nil {
-		return false
-	}
-	return m.built.Load()
+	m, ok := p.src.(interface{ Materialized() bool })
+	return ok && m.Materialized()
 }
 
 // Materialize forces the lazy build now instead of on first access, and
@@ -317,17 +337,14 @@ func (p *Permuter) Materialize() error {
 // retry hits the re-armed handle). On BackendBijective and on sources
 // without a Materialize method it is a no-op returning nil.
 func (p *Permuter) MaterializeContext(ctx context.Context) error {
-	if p.src != nil {
-		if m, ok := p.src.(interface{ Materialize() error }); ok {
-			return m.Materialize()
-		}
-		return nil
+	if l, ok := p.src.(*lazySource); ok {
+		_, err := l.build(ctx)
+		return err
 	}
-	if p.bij != nil {
-		return nil
+	if m, ok := p.src.(interface{ Materialize() error }); ok {
+		return m.Materialize()
 	}
-	_, err := p.materializeCtx(ctx)
-	return err
+	return nil
 }
 
 // OnMaterialize registers fn to be called exactly once per lazy build,
@@ -338,42 +355,10 @@ func (p *Permuter) MaterializeContext(ctx context.Context) error {
 // counting materializations in a server's metrics, logging slow builds —
 // without wrapping every accessor. Register it before the handle is
 // shared: OnMaterialize must not be called concurrently with any other
-// method. Registering nil clears the hook; on BackendBijective the hook
-// is retained but never fires.
-func (p *Permuter) OnMaterialize(fn func()) { p.hook = fn }
-
-// materialize builds (once) and returns the full permutation for the
-// materializing backends, by running the selected backend's engine over
-// the identity. Racing callers all observe the completed build.
-func (p *Permuter) materialize() ([]int64, error) {
-	return p.materializeCtx(context.Background())
-}
-
-// materializeCtx is materialize under a context: the build threads
-// ctx.Done() into the engine worker pools, and a build that fails —
-// canceled or otherwise — swaps a fresh permMat into place so the next
-// accessor retries instead of replaying the error forever. The swap is
-// a CompareAndSwap against the permMat that ran the build, so a Reset
-// that raced in between is never clobbered.
-func (p *Permuter) materializeCtx(ctx context.Context) ([]int64, error) {
-	m := p.mat.Load()
-	m.once.Do(func() {
-		id := make([]int64, p.n)
-		for i := range id {
-			id[i] = int64(i)
-		}
-		m.perm, _, m.err = parallelShuffle(id, p.opt, ctx.Done())
-		if m.err != nil && ctx.Err() != nil {
-			m.err = fmt.Errorf("randperm: materialize: %w", ctx.Err())
-		}
-		if m.err != nil {
-			p.mat.CompareAndSwap(m, &permMat{})
-			return
-		}
-		if p.hook != nil {
-			p.hook()
-		}
-		m.built.Store(true)
-	})
-	return m.perm, m.err
+// method. Registering nil clears the hook; on BackendBijective and on
+// sourced handles nothing is built here, so the hook never fires.
+func (p *Permuter) OnMaterialize(fn func()) {
+	if l, ok := p.src.(*lazySource); ok {
+		l.hook = fn
+	}
 }
