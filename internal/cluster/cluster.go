@@ -420,7 +420,9 @@ func (nd *Node) buildShard(slot int, n int64, seed uint64) (*Shard, error) {
 	off := blockOffsets(n, p)
 	blo, bhi := blockSpan(p, nodes, slot)
 	start, end := off[blo], off[bhi]
-	vals := make([]int64, end-start)
+	// One spare slot past the shard is round 2's scatter sink.
+	buf := make([]int64, end-start+1)
+	vals, sink := buf[:end-start], end-start
 
 	// Round 1: the communication matrix, sampled locally. Stream 0 of
 	// the shared seed — every node derives the same matrix.
@@ -430,41 +432,56 @@ func (nd *Node) buildShard(slot int, n int64, seed uint64) (*Shard, error) {
 	nd.publishRound(slot, 1, n, seed, time.Since(began), "matrix")
 
 	// Within owned target block j, source i's segment begins at the
-	// column prefix sum colCum[j-blo][i] (sources in rank order — the
-	// same layout scatterStarts gives the single-process engine).
-	colCum := make([][]int64, bhi-blo)
-	for j := blo; j < bhi; j++ {
-		cum := make([]int64, p+1)
-		for i := 0; i < p; i++ {
-			cum[i+1] = cum[i] + a.At(i, j)
+	// column prefix sum of a_0j .. a_(i-1)j (sources in rank order —
+	// the same layout scatterStarts gives the single-process engine).
+	// segStart[i][j] is that position in vals, or the sink for a
+	// target j outside the slot.
+	segStart := make([][]int64, p)
+	for i := range segStart {
+		segStart[i] = make([]int64, p)
+		for j := range segStart[i] {
+			segStart[i][j] = sink
 		}
-		colCum[j-blo] = cum
 	}
-	// place copies source i's segment for owned target j.
-	place := func(i, j int, seg []int64) {
-		base := off[j] - start + colCum[j-blo][i]
-		copy(vals[base:base+int64(len(seg))], seg)
+	for j := blo; j < bhi; j++ {
+		pos := off[j] - start
+		for i := 0; i < p; i++ {
+			segStart[i][j] = pos
+			pos += a.At(i, j)
+		}
+	}
+	// seg is where source i's segment for owned target j lands.
+	seg := func(i, j int) []int64 {
+		lo := segStart[i][j]
+		return vals[lo : lo+a.At(i, j)]
 	}
 
 	// Round 2, local half: every source block belonging to a slot this
 	// node replicates is recomputed locally from its stream — replicas
 	// are free, so no wire traffic is spent on payloads this node can
-	// derive itself.
+	// derive itself. Each target gets a write cursor at its segment's
+	// start, set once per source block, and one pass over the labels
+	// advances them. Labels of targets outside the slot write to the
+	// sink and never advance, which keeps the loop free of a
+	// data-dependent branch.
 	began = time.Now()
+	step := make([]int64, p)
+	for j := blo; j < bhi; j++ {
+		step[j] = 1
+	}
+	cur := make([]int64, p)
 	for i := 0; i < p; i++ {
 		if !nd.hasDuty(self, ownerOfBlock(p, nodes, i)) {
 			continue
 		}
 		labels := engine.ArrangeRow(streams[1+i], a.Row(i))
-		fill := make([]int64, bhi-blo)
-		for t, lab := range labels {
-			j := int(lab)
-			if j < blo || j >= bhi {
-				continue
-			}
-			base := off[j] - start + colCum[j-blo][i]
-			vals[base+fill[j-blo]] = off[i] + int64(t)
-			fill[j-blo]++
+		copy(cur, segStart[i])
+		v := off[i]
+		for _, lab := range labels {
+			c := cur[lab]
+			buf[c] = v
+			cur[lab] = c + step[lab]
+			v++
 		}
 	}
 
@@ -484,7 +501,7 @@ func (nd *Node) buildShard(slot int, n int64, seed uint64) (*Shard, error) {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			errs[s] = nd.fetchExchangeSlot(s, slot, n, seed, a, place)
+			errs[s] = nd.fetchExchangeSlot(s, slot, n, seed, a, seg)
 		}(s)
 	}
 	wg.Wait()

@@ -358,3 +358,30 @@ func TestStatusAndMetrics(t *testing.T) {
 		t.Error("unbuilt shard reported Materialized")
 	}
 }
+
+// BenchmarkClusterColdPull times a cold full pull at the cluster layer,
+// with no text encoding in it: two loopback nodes, n = 10^6, p = 8, a
+// fresh seed per op, the whole domain read through node 0's Permuter.
+// Each op therefore runs both shard builds — every round-2 exchange leg
+// included — plus the proxy hop for node 1's half.
+func BenchmarkClusterColdPull(b *testing.B) {
+	const n = 1_000_000
+	nds := make([]*Node, 2)
+	testkit.Loopback(b, 2, func(k int, peers []string) http.Handler {
+		nd, err := New(Config{Self: k, Peers: peers, Procs: 8})
+		if err != nil {
+			b.Fatal(err)
+		}
+		nds[k] = nd
+		return nd.Handler()
+	})
+	buf := make([]int64, n)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := nds[0].Permuter(n, uint64(i)+1).Chunk(buf, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/item")
+}

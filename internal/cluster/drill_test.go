@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -160,6 +161,71 @@ func TestDrillKillR1Atomic(t *testing.T) {
 	if pe.Node != 1 || pe.Round != RoundServe || pe.Op != "chunk" {
 		t.Errorf("chunk PeerError = node %d round %d op %s, want node 1 round %d op chunk",
 			pe.Node, pe.Round, pe.Op, RoundServe)
+	}
+}
+
+// TestDrillConcurrentChunkLowestSlot is the contract of the concurrent
+// Chunk: a range's slot spans are read in parallel, yet the error a
+// failed read returns never depends on which span finished first — it
+// is always the lowest-numbered failed slot's — and every goroutine a
+// read starts has exited once it returns, failed or not.
+func TestDrillConcurrentChunkLowestSlot(t *testing.T) {
+	const n, procs = 900, 6
+	nds, proxies := bootChaosCluster(t, 3, procs, 1, nil)
+	// settle closes idle keep-alive connections (their transport and
+	// server goroutines are not the read's) and waits for the goroutine
+	// count to fall back to limit, returning the last count seen.
+	settle := func(limit int) int {
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			http.DefaultTransport.(*http.Transport).CloseIdleConnections()
+			g := runtime.NumGoroutine()
+			if g <= limit || time.Now().After(deadline) {
+				return g
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	baseline := runtime.NumGoroutine()
+
+	// Slots 1 and 2 both fail serving; node 0 builds slot 0 itself, so
+	// every read has one good span and two failed ones racing.
+	for _, k := range []int{1, 2} {
+		proxies[k].Set(chaos.Rule{Path: "chunk", From: chaos.AnyPeer, Fault: chaos.Error})
+	}
+	for r := range 20 {
+		_, err := readAll(nds[0], n, uint64(100+r))
+		var pe *PeerError
+		if !errors.As(err, &pe) {
+			t.Fatalf("read %d: no *PeerError in the chain: %v", r, err)
+		}
+		if pe.Node != 1 || pe.Op != "chunk" || pe.Round != RoundServe {
+			t.Fatalf("read %d: error names node %d op %s round %d, want the lowest failed slot's: node 1 op chunk round %d",
+				r, pe.Node, pe.Op, pe.Round, RoundServe)
+		}
+	}
+	if g := settle(baseline); g > baseline {
+		t.Errorf("after failed reads: %d goroutines, baseline %d", g, baseline)
+	}
+
+	for _, p := range proxies {
+		p.Revive()
+	}
+	for r := range 20 {
+		seed := uint64(200 + r)
+		got, err := readAll(nds[0], n, seed)
+		if err != nil {
+			t.Fatalf("read %d after revival: %v", r, err)
+		}
+		want := singleNodeCGM(t, n, procs, seed)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("read %d: byte divergence at %d", r, i)
+			}
+		}
+	}
+	if g := settle(baseline); g > baseline {
+		t.Errorf("after successful reads: %d goroutines, baseline %d", g, baseline)
 	}
 }
 

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bufio"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -9,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"time"
 
@@ -206,9 +206,12 @@ func (nd *Node) queryN(r *http.Request) (int64, error) {
 // N-1 requesters per permutation that redoes the O(n/N) arrangement
 // work N-1 times per slot — the trade is bounded peer-facing memory
 // (O(m_i) per in-flight request, no second cache to size against the
-// shard LRU) for CPU that is already dwarfed by a shard build's wire
-// traffic. If exchange CPU ever dominates a profile, the fix is a
-// per-(n, seed) arrangement cache beside the shard cache.
+// shard LRU) for CPU. Profiles of a cold 2-node pull put the cost of
+// this endpoint in the wire codec, not in ArrangeRow: a call and an
+// 8-byte allocation per value. So each source block's segments are
+// encoded straight into one reused byte page — per-target write
+// cursors, one pass over the labels — and the page goes out in a
+// single write.
 func (nd *Node) handleExchange(w http.ResponseWriter, r *http.Request) {
 	nd.exchangeReqs.Add(1)
 	q := r.URL.Query()
@@ -250,60 +253,86 @@ func (nd *Node) handleExchange(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	p, nodes := nd.cfg.Procs, len(nd.cfg.Peers)
-	sizes := core.EvenBlocks(n, p)
-	off := blockOffsets(n, p)
-	streams := engine.CGMStreams(seed, p)
+	leg := exchangeLeg{seed: seed, n: n, p: nd.cfg.Procs, nodes: len(nd.cfg.Peers), from: from, to: to}
+	sizes := core.EvenBlocks(n, leg.p)
+	off := blockOffsets(n, leg.p)
+	streams := engine.CGMStreams(seed, leg.p)
 	a := commat.SampleSeq(streams[0], sizes, sizes)
-	sLo, sHi := blockSpan(p, nodes, from) // the served source slot's blocks
-	tLo, tHi := blockSpan(p, nodes, to)   // the requested target slot's blocks
+	sLo, sHi := blockSpan(leg.p, leg.nodes, from) // the served source slot's blocks
+	tLo, tHi := blockSpan(leg.p, leg.nodes, to)   // the requested target slot's blocks
 
 	w.Header().Set("Content-Type", "application/octet-stream")
-	bw := bufio.NewWriterSize(w, 1<<15)
-	writeU64 := func(v uint64) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], v)
-		bw.Write(b[:])
+	page := leg.appendHeader(make([]byte, 0, 1<<15))
+	if _, err := w.Write(page); err != nil {
+		return
 	}
-	writeI32 := func(v int32) {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], uint32(v))
-		bw.Write(b[:])
+	// Each source block's segments are laid out in the page as on the
+	// wire — i, then per target its count and payload — with a write
+	// cursor per target, and one pass over the labels fills them all.
+	// Labels of targets outside the requested slot write to an 8-byte
+	// sink past the block and never advance, which keeps the loop free
+	// of a data-dependent branch.
+	cur := make([]int, leg.p)
+	step := make([]int, leg.p)
+	for j := tLo; j < tHi; j++ {
+		step[j] = 8
 	}
-	bw.WriteString(exchangeMagic)
-	writeU64(seed)
-	writeU64(uint64(n))
-	writeI32(int32(p))
-	writeI32(int32(nodes))
-	writeI32(int32(from))
-	writeI32(int32(to))
-
 	var shipped int64
 	for i := sLo; i < sHi; i++ {
 		labels := engine.ArrangeRow(streams[1+i], a.Row(i))
-		// Bucket this source block's payloads for the requester's
-		// targets only; one pass over the labels.
-		segs := make([][]int64, tHi-tLo)
+		size := 4
 		for j := tLo; j < tHi; j++ {
-			segs[j-tLo] = make([]int64, 0, a.At(i, j))
+			cur[j] = size + 8
+			size += 8 + 8*int(a.At(i, j))
 		}
-		for t, lab := range labels {
-			if j := int(lab); j >= tLo && j < tHi {
-				segs[j-tLo] = append(segs[j-tLo], off[i]+int64(t))
+		for j := range cur {
+			if step[j] == 0 {
+				cur[j] = size
 			}
 		}
-		writeI32(int32(i))
+		page = slices.Grow(page[:0], size+8)[:size+8]
+		binary.LittleEndian.PutUint32(page, uint32(int32(i)))
 		for j := tLo; j < tHi; j++ {
-			seg := segs[j-tLo]
-			writeU64(uint64(len(seg)))
-			for _, v := range seg {
-				writeU64(uint64(v))
-			}
-			shipped += int64(len(seg))
+			binary.LittleEndian.PutUint64(page[cur[j]-8:], uint64(a.At(i, j)))
+			shipped += a.At(i, j)
+		}
+		v := uint64(off[i])
+		for _, lab := range labels {
+			c := cur[lab]
+			binary.LittleEndian.PutUint64(page[c:c+8], v)
+			cur[lab] = c + step[lab]
+			v++
+		}
+		if _, err := w.Write(page[:size]); err != nil {
+			return
 		}
 	}
-	bw.Flush()
 	nd.exchangeItems.Add(shipped)
+}
+
+// exchangeLeg is the identity of one round-2 response, echoed in its
+// header: the permutation (seed, n, p), the cluster size, and the
+// source and target shard slots.
+type exchangeLeg struct {
+	seed     uint64
+	n        int64
+	p, nodes int
+	from, to int
+}
+
+// exchangeHeaderLen is the RPX2 header size: magic, seed, n and four
+// int32s.
+const exchangeHeaderLen = 4 + 8 + 8 + 4*4
+
+// appendHeader appends the leg's RPX2 header to b.
+func (l exchangeLeg) appendHeader(b []byte) []byte {
+	b = append(b, exchangeMagic...)
+	b = binary.LittleEndian.AppendUint64(b, l.seed)
+	b = binary.LittleEndian.AppendUint64(b, uint64(l.n))
+	for _, v := range [4]int{l.p, l.nodes, l.from, l.to} {
+		b = binary.LittleEndian.AppendUint32(b, uint32(int32(v)))
+	}
+	return b
 }
 
 // fetchExchangeSlot performs one requester leg of round 2 with replica
@@ -313,7 +342,7 @@ func (nd *Node) handleExchange(w http.ResponseWriter, r *http.Request) {
 // the next replica on any error. Every attempt's failure is kept in
 // the returned chain (each wrapped as a *PeerError naming the peer and
 // round), so a fully dead replica set is diagnosable per peer.
-func (nd *Node) fetchExchangeSlot(from, to int, n int64, seed uint64, a *commat.Matrix, place func(i, j int, seg []int64)) error {
+func (nd *Node) fetchExchangeSlot(from, to int, n int64, seed uint64, a *commat.Matrix, dst func(i, j int) []int64) error {
 	cands := nd.health.rank(nd.replicasOf(from))
 	var attempts []error
 	for try, k := range cands {
@@ -321,7 +350,7 @@ func (nd *Node) fetchExchangeSlot(from, to int, n int64, seed uint64, a *commat.
 			nd.failovers.Add(1)
 			nd.publishServeEvent(k, RoundExchange, from, "failover")
 		}
-		err := nd.fetchExchange(k, from, to, n, seed, a, place)
+		err := nd.fetchExchange(k, from, to, n, seed, a, dst)
 		if err == nil {
 			return nil
 		}
@@ -330,17 +359,14 @@ func (nd *Node) fetchExchangeSlot(from, to int, n int64, seed uint64, a *commat.
 	return fmt.Errorf("cluster: no replica of source slot %d answered the round-2 exchange: %w", from, errors.Join(attempts...))
 }
 
-// fetchExchange pulls one exchange leg from peer k and hands each
-// verified segment to place(i, j, seg). Any failure — transport,
-// status, framing or matrix disagreement — comes back as a *PeerError
-// carrying k's address and the round. place must tolerate partial
-// invocation before an error: segments are verified before placement
-// and identical across replicas, so a retry simply overwrites the same
-// values.
-func (nd *Node) fetchExchange(k, from, to int, n int64, seed uint64, a *commat.Matrix, place func(i, j int, seg []int64)) error {
-	p, nodes := nd.cfg.Procs, len(nd.cfg.Peers)
+// fetchExchange pulls one exchange leg from peer k and decodes it with
+// decodeExchange. Any failure — transport, status, framing or matrix
+// disagreement — comes back as a *PeerError carrying k's address and
+// the round.
+func (nd *Node) fetchExchange(k, from, to int, n int64, seed uint64, a *commat.Matrix, dst func(i, j int) []int64) error {
+	leg := exchangeLeg{seed: seed, n: n, p: nd.cfg.Procs, nodes: len(nd.cfg.Peers), from: from, to: to}
 	u := fmt.Sprintf("%s/v1/cluster/exchange?n=%d&seed=%d&p=%d&nodes=%d&from=%d&to=%d",
-		nd.cfg.Peers[k], n, seed, p, nodes, from, to)
+		nd.cfg.Peers[k], n, seed, leg.p, leg.nodes, from, to)
 	resp, err := nd.peerGet(context.Background(), k, u)
 	if err != nil {
 		return nd.peerError(k, RoundExchange, "exchange", err)
@@ -350,82 +376,93 @@ func (nd *Node) fetchExchange(k, from, to int, n int64, seed uint64, a *commat.M
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return nd.peerError(k, RoundExchange, "exchange", fmt.Errorf("%s: %s", resp.Status, msg))
 	}
-	br := bufio.NewReaderSize(resp.Body, 1<<15)
-	readU64 := func() (uint64, error) {
-		var b [8]byte
-		if _, err := io.ReadFull(br, b[:]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint64(b[:]), nil
+	if err := decodeExchange(resp.Body, leg, a, dst); err != nil {
+		return nd.peerError(k, RoundExchange, "exchange", err)
 	}
-	readI32 := func() (int32, error) {
-		var b [4]byte
-		if _, err := io.ReadFull(br, b[:]); err != nil {
-			return 0, err
-		}
-		return int32(binary.LittleEndian.Uint32(b[:])), nil
+	return nil
+}
+
+// decodeExchange parses one RPX2 response body for leg and decodes
+// every verified segment (i, j) into dst(i, j), a slice of exactly
+// a_ij values. The header must echo leg, source blocks must arrive in
+// sequence, every count must equal the local matrix entry — checked
+// before anything is allocated for the segment — and the body must end
+// after the last segment. Each segment's payload is read whole, with
+// one io.ReadFull, into a page sized once for the leg's largest a_ij,
+// so no response can make the decoder allocate more than that.
+//
+// dst must tolerate partial decoding before an error: segments are
+// verified before they are decoded and identical across replicas, so a
+// retry against another replica simply overwrites the same values.
+func decodeExchange(body io.Reader, leg exchangeLeg, a *commat.Matrix, dst func(i, j int) []int64) error {
+	var hdr [exchangeHeaderLen]byte
+	if _, err := io.ReadFull(body, hdr[:]); err != nil {
+		return fmt.Errorf("reading header: %v", err)
 	}
-	bad := func(format string, args ...any) error {
-		return nd.peerError(k, RoundExchange, "exchange", fmt.Errorf(format, args...))
+	if string(hdr[:4]) != exchangeMagic {
+		return fmt.Errorf("bad magic %q", hdr[:4])
+	}
+	gotSeed := binary.LittleEndian.Uint64(hdr[4:])
+	gotN := int64(binary.LittleEndian.Uint64(hdr[12:]))
+	var ints [4]int32
+	for x := range ints {
+		ints[x] = int32(binary.LittleEndian.Uint32(hdr[20+4*x:]))
+	}
+	if gotSeed != leg.seed || gotN != leg.n || int(ints[0]) != leg.p ||
+		int(ints[1]) != leg.nodes || int(ints[2]) != leg.from || int(ints[3]) != leg.to {
+		return fmt.Errorf("config echo mismatch: got (seed=%d n=%d p=%d nodes=%d from=%d to=%d), want (%d %d %d %d %d %d)",
+			gotSeed, gotN, ints[0], ints[1], ints[2], ints[3], leg.seed, leg.n, leg.p, leg.nodes, leg.from, leg.to)
 	}
 
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return bad("reading header: %v", err)
-	}
-	if string(magic[:]) != exchangeMagic {
-		return bad("bad magic %q", magic)
-	}
-	hdr := make([]uint64, 2)
-	for i := range hdr {
-		if hdr[i], err = readU64(); err != nil {
-			return bad("reading header: %v", err)
-		}
-	}
-	ints := make([]int32, 4)
-	for i := range ints {
-		if ints[i], err = readI32(); err != nil {
-			return bad("reading header: %v", err)
-		}
-	}
-	if hdr[0] != seed || int64(hdr[1]) != n || int(ints[0]) != p ||
-		int(ints[1]) != nodes || int(ints[2]) != from || int(ints[3]) != to {
-		return bad("config echo mismatch: got (seed=%d n=%d p=%d nodes=%d from=%d to=%d), want (%d %d %d %d %d %d)",
-			hdr[0], int64(hdr[1]), ints[0], ints[1], ints[2], ints[3], seed, n, p, nodes, from, to)
-	}
-
-	sLo, sHi := blockSpan(p, nodes, from)
-	tLo, tHi := blockSpan(p, nodes, to)
+	sLo, sHi := blockSpan(leg.p, leg.nodes, leg.from)
+	tLo, tHi := blockSpan(leg.p, leg.nodes, leg.to)
+	var page []byte
+	var word [8]byte
 	for i := sLo; i < sHi; i++ {
-		gotI, err := readI32()
-		if err != nil {
-			return bad("reading source header: %v", err)
+		if _, err := io.ReadFull(body, word[:4]); err != nil {
+			return fmt.Errorf("reading source header: %v", err)
 		}
-		if int(gotI) != i {
-			return bad("source block sequence broken: got %d, want %d", gotI, i)
+		if gotI := int32(binary.LittleEndian.Uint32(word[:4])); int(gotI) != i {
+			return fmt.Errorf("source block sequence broken: got %d, want %d", gotI, i)
 		}
 		for j := tLo; j < tHi; j++ {
-			count, err := readU64()
-			if err != nil {
-				return bad("reading segment count: %v", err)
+			if _, err := io.ReadFull(body, word[:]); err != nil {
+				return fmt.Errorf("reading segment count: %v", err)
 			}
 			// The matrix-row check: the shipped count must realize the
 			// entry this node sampled locally.
-			if want := a.At(i, j); int64(count) != want {
-				return bad("matrix disagreement at a[%d][%d]: peer shipped %d values, local matrix says %d — the nodes are not running the same (seed, n, p, nodes)", i, j, count, want)
+			count := int64(binary.LittleEndian.Uint64(word[:]))
+			want := a.At(i, j)
+			if count != want {
+				return fmt.Errorf("matrix disagreement at a[%d][%d]: peer shipped %d values, local matrix says %d — the nodes are not running the same (seed, n, p, nodes)", i, j, count, want)
 			}
-			seg := make([]int64, count)
-			for t := range seg {
-				v, err := readU64()
-				if err != nil {
-					return bad("reading segment payload: %v", err)
+			if page == nil {
+				var most int64
+				for ii := sLo; ii < sHi; ii++ {
+					for jj := tLo; jj < tHi; jj++ {
+						most = max(most, a.At(ii, jj))
+					}
 				}
-				seg[t] = int64(v)
+				page = make([]byte, 8*most)
 			}
-			place(i, j, seg)
+			payload := page[:8*count]
+			if _, err := io.ReadFull(body, payload); err != nil {
+				return fmt.Errorf("reading segment payload: %v", err)
+			}
+			seg := dst(i, j)[:count]
+			for t := range seg {
+				seg[t] = int64(binary.LittleEndian.Uint64(payload[8*t:]))
+			}
 		}
 	}
-	return nil
+	switch _, err := io.ReadFull(body, word[:1]); err {
+	case io.EOF:
+		return nil
+	case nil:
+		return fmt.Errorf("trailing bytes after the last segment")
+	default:
+		return fmt.Errorf("reading past the last segment: %v", err)
+	}
 }
 
 // handleChunk serves values of the (seed, n) permutation strictly from
@@ -478,21 +515,29 @@ func (nd *Node) handleChunk(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	bw := bufio.NewWriterSize(w, 1<<15)
-	var b [8]byte
-	for _, v := range sh.Vals[start-sh.Start : start-sh.Start+length] {
-		binary.LittleEndian.PutUint64(b[:], uint64(v))
-		if _, err := bw.Write(b[:]); err != nil {
+	vals := sh.Vals[start-sh.Start : start-sh.Start+length]
+	page := make([]byte, chunkPage)
+	for len(vals) > 0 {
+		m := min(len(vals), chunkPage/8)
+		for t, v := range vals[:m] {
+			binary.LittleEndian.PutUint64(page[8*t:], uint64(v))
+		}
+		if _, err := w.Write(page[:8*m]); err != nil {
 			return
 		}
+		vals = vals[m:]
 	}
-	bw.Flush()
 	nd.chunkItems.Add(length)
 }
 
+// chunkPage is the byte page both ends of /v1/cluster/chunk code
+// through: 4096 little-endian int64s.
+const chunkPage = 1 << 15
+
 // fetchChunk pulls values [start, start+len(dst)) of slot's shard from
-// peer k into dst. ctx is the hedging seam: a losing racer is
-// cancelled here, and the cancellation is not held against k's health.
+// peer k into dst, decoding the body page by page. ctx is the hedging
+// seam: a losing racer is cancelled here, and the cancellation is not
+// held against k's health.
 func (nd *Node) fetchChunk(ctx context.Context, k int, n int64, seed uint64, dst []int64, start int64) error {
 	u := fmt.Sprintf("%s/v1/cluster/chunk?n=%d&seed=%d&start=%d&len=%d",
 		nd.cfg.Peers[k], n, seed, start, len(dst))
@@ -505,12 +550,16 @@ func (nd *Node) fetchChunk(ctx context.Context, k int, n int64, seed uint64, dst
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return nd.peerError(k, RoundServe, "chunk", fmt.Errorf("%s: %s", resp.Status, msg))
 	}
-	buf := make([]byte, 8*len(dst))
-	if _, err := io.ReadFull(resp.Body, buf); err != nil {
-		return nd.peerError(k, RoundServe, "chunk", fmt.Errorf("short read: %w", err))
-	}
-	for i := range dst {
-		dst[i] = int64(binary.LittleEndian.Uint64(buf[8*i:]))
+	page := make([]byte, min(chunkPage, 8*len(dst)))
+	for rest := dst; len(rest) > 0; {
+		m := min(len(rest), chunkPage/8)
+		if _, err := io.ReadFull(resp.Body, page[:8*m]); err != nil {
+			return nd.peerError(k, RoundServe, "chunk", fmt.Errorf("short read: %w", err))
+		}
+		for t := range rest[:m] {
+			rest[t] = int64(binary.LittleEndian.Uint64(page[8*t:]))
+		}
+		rest = rest[m:]
 	}
 	nd.proxyReqs.Add(1)
 	nd.proxyItems.Add(int64(len(dst)))

@@ -1,6 +1,9 @@
 package cluster
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Permuter is a handle on the cluster permutation of (seed, n): the
 // same bytes engine.PermuteSliceCGM computes in one process, served
@@ -31,10 +34,13 @@ func (p *Permuter) Len() int64 { return p.n }
 // Chunk fills dst with π(start) .. π(start+len(dst)-1), clamped to the
 // domain end, and returns how many values were written. Spans of slots
 // this node replicates come from local shards; the rest are read from
-// live replicas over HTTP. The error is nil exactly when every span
-// was served; on error, dst may hold spans that preceded the failure —
-// callers that promise atomicity (the permd chunk endpoint does) must
-// buffer before exposing bytes.
+// live replicas over HTTP. The spans are read concurrently, one
+// goroutine per slot span, so building a local shard overlaps the
+// peers' builds of theirs. The error is nil exactly when every span
+// was served; otherwise it is the error of the lowest-numbered failed
+// slot, whatever order the spans finished in, and dst may hold the
+// spans that succeeded — callers that promise atomicity (the permd
+// chunk endpoint does) must buffer before exposing bytes.
 func (p *Permuter) Chunk(dst []int64, start int64) (int, error) {
 	if start < 0 || start > p.n {
 		return 0, fmt.Errorf("cluster: Chunk start %d outside [0, %d]", start, p.n)
@@ -44,21 +50,45 @@ func (p *Permuter) Chunk(dst []int64, start int64) (int, error) {
 		m = rest
 	}
 	nd := p.nd
+	var spans []int64 // span boundaries: span s is [spans[s], spans[s+1])
 	for pos := start; pos < start+m; {
-		k := nd.Owner(p.n, pos)
-		_, hi := nd.ShardRange(p.n, k)
-		stop := min(hi, start+m)
-		span := dst[pos-start : stop-start]
-		if nd.hasDuty(nd.cfg.Self, k) {
-			sh, err := nd.shard(k, p.n, p.seed)
-			if err != nil {
-				return 0, err
-			}
-			copy(span, sh.Vals[pos-sh.Start:])
-		} else if err := nd.readRemoteSpan(k, p.n, p.seed, span, pos); err != nil {
+		spans = append(spans, pos)
+		_, hi := nd.ShardRange(p.n, nd.Owner(p.n, pos))
+		pos = min(hi, start+m)
+	}
+	spans = append(spans, start+m)
+	read := func(s int) error {
+		lo, hi := spans[s], spans[s+1]
+		span := dst[lo-start : hi-start]
+		k := nd.Owner(p.n, lo)
+		if !nd.hasDuty(nd.cfg.Self, k) {
+			return nd.readRemoteSpan(k, p.n, p.seed, span, lo)
+		}
+		sh, err := nd.shard(k, p.n, p.seed)
+		if err != nil {
+			return err
+		}
+		copy(span, sh.Vals[lo-sh.Start:])
+		return nil
+	}
+	errs := make([]error, len(spans)-1)
+	if len(errs) == 1 {
+		errs[0] = read(0)
+	} else {
+		var wg sync.WaitGroup
+		for s := range errs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[s] = read(s)
+			}()
+		}
+		wg.Wait()
+	}
+	for _, err := range errs {
+		if err != nil {
 			return 0, err
 		}
-		pos = stop
 	}
 	return int(m), nil
 }

@@ -48,6 +48,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"math/bits"
 	"mime"
 	"net/http"
 	"net/url"
@@ -590,7 +592,7 @@ func (s *Server) serveRange(w http.ResponseWriter, r *http.Request, pm *randperm
 		defer s.bufs.Put(bufp)
 		buf = *bufp
 	}
-	bw := bufio.NewWriterSize(w, 1<<15)
+	dw := newDecimalWriter(w, make([]byte, 0, 1<<15))
 	served := int64(0)
 	for served < length {
 		if served > 0 && r.Context().Err() != nil {
@@ -613,12 +615,12 @@ func (s *Server) serveRange(w http.ResponseWriter, r *http.Request, pm *randperm
 			s.met.errors.Add(1)
 			return
 		}
-		if writeDecimals(bw, page[:m]) != nil {
+		if dw.write(page[:m]) != nil {
 			return // client went away
 		}
 		served += int64(m)
 	}
-	if bw.Flush() != nil {
+	if dw.flush() != nil {
 		return
 	}
 	s.met.items.Add(served)
@@ -629,18 +631,90 @@ func (s *Server) serveRange(w http.ResponseWriter, r *http.Request, pm *randperm
 	}
 }
 
-// writeDecimals writes vals to bw one decimal per line, stopping at the
-// first write error (the client went away).
-func writeDecimals(bw *bufio.Writer, vals []int64) error {
-	var line []byte
+// maxDecimalLine is the longest line decimalWriter formats: the 20
+// characters of math.MinInt64 plus the newline.
+const maxDecimalLine = 21
+
+// decimalWriter formats int64s one decimal per line straight into a
+// byte page and writes each full page to w — one copy of every byte,
+// no second buffer in between. The page's capacity is the write size;
+// it must hold at least one line.
+type decimalWriter struct {
+	w    io.Writer
+	page []byte
+}
+
+func newDecimalWriter(w io.Writer, page []byte) *decimalWriter {
+	return &decimalWriter{w: w, page: page[:0]}
+}
+
+// write formats vals, writing out every page that fills, and stops at
+// the first write error (the client went away).
+func (d *decimalWriter) write(vals []int64) error {
+	page, room := d.page, cap(d.page)-maxDecimalLine
 	for _, v := range vals {
-		line = strconv.AppendInt(line[:0], v, 10)
-		line = append(line, '\n')
-		if _, err := bw.Write(line); err != nil {
-			return err
+		if len(page) > room {
+			if _, err := d.w.Write(page); err != nil {
+				return err
+			}
+			page = page[:0]
 		}
+		page = appendDecimalLine(page, v)
 	}
+	d.page = page
 	return nil
+}
+
+// appendDecimalLine appends v in decimal and a newline to b, which must
+// have room for maxDecimalLine more bytes: the bytes of
+// strconv.AppendInt(b, v, 10) plus '\n', formatted in place two digits
+// at a time instead of through strconv's scratch buffer.
+func appendDecimalLine(b []byte, v int64) []byte {
+	if v < 0 {
+		return append(strconv.AppendInt(b, v, 10), '\n')
+	}
+	u := uint64(v)
+	// The digit count: log10 estimated from the bit length, corrected
+	// by one comparison (u|1 keeps 0 at one digit).
+	k := bits.Len64(u|1) * 1233 >> 12
+	if u|1 >= pow10[k] {
+		k++
+	}
+	l := len(b)
+	b = b[:l+k+1]
+	d := b[l:]
+	d[k] = '\n'
+	for u >= 100 {
+		q := u / 100
+		r := 2 * (u - 100*q)
+		k -= 2
+		d[k], d[k+1] = digitPairs[r], digitPairs[r+1]
+		u = q
+	}
+	if u >= 10 {
+		d[0], d[1] = digitPairs[2*u], digitPairs[2*u+1]
+	} else {
+		d[0] = byte('0' + u)
+	}
+	return b
+}
+
+// digitPairs holds "00" through "99"; pow10[k] is 10^k.
+const digitPairs = "00010203040506070809101112131415161718192021222324252627282930313233343536373839" +
+	"40414243444546474849505152535455565758596061626364656667686970717273747576777879" +
+	"8081828384858687888990919293949596979899"
+
+var pow10 = [20]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+
+// flush writes out the partial page.
+func (d *decimalWriter) flush() error {
+	if len(d.page) == 0 {
+		return nil
+	}
+	_, err := d.w.Write(d.page)
+	d.page = d.page[:0]
+	return err
 }
 
 // handleAt serves GET /v1/perm/{seed}/at?n=&i=&backend= — the single
@@ -694,7 +768,10 @@ func (s *Server) handleAt(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintf(w, "%d\n", one[0])
+	var line [maxDecimalLine]byte
+	if dw := newDecimalWriter(w, line[:]); dw.write(one[:]) != nil || dw.flush() != nil {
+		return // client went away
+	}
 	s.met.items.Add(1)
 	if ri := reqInfoOf(r); ri != nil {
 		ri.items = 1
@@ -852,9 +929,9 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	bw := bufio.NewWriterSize(w, 1<<15)
-	writeDecimals(bw, sample)
-	bw.Flush()
+	if dw := newDecimalWriter(w, make([]byte, 0, 1<<15)); dw.write(sample) != nil || dw.flush() != nil {
+		return // client went away
+	}
 	s.met.items.Add(int64(len(sample)))
 	if ri := reqInfoOf(r); ri != nil {
 		ri.items = int64(len(sample))

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -281,6 +283,44 @@ func TestSample(t *testing.T) {
 	}
 	if body != wantB.String() {
 		t.Errorf("sample: got %q want %q", body, wantB.String())
+	}
+}
+
+// TestDecimalWriter: the page writer emits exactly strconv's decimal
+// lines — every digit count, both signs, the int64 extremes — for any
+// page size down to a single line and any split of the values into
+// write calls.
+func TestDecimalWriter(t *testing.T) {
+	vals := []int64{0, 1, -1, math.MaxInt64, math.MinInt64, math.MinInt64 + 1}
+	for p := int64(1); p <= 1e18; p *= 10 {
+		vals = append(vals, p-1, p, p+1, -p)
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	for range 5000 {
+		vals = append(vals, int64(rng.Uint64()>>rng.IntN(64)), -rng.Int64N(1<<40))
+	}
+	var want []byte
+	for _, v := range vals {
+		want = append(strconv.AppendInt(want, v, 10), '\n')
+	}
+	for _, pageCap := range []int{maxDecimalLine, 64, 1 << 15} {
+		for _, split := range []int{1, 7, len(vals)} {
+			var got strings.Builder
+			dw := newDecimalWriter(&got, make([]byte, 0, pageCap))
+			for rest := vals; len(rest) > 0; {
+				m := min(split, len(rest))
+				if err := dw.write(rest[:m]); err != nil {
+					t.Fatal(err)
+				}
+				rest = rest[m:]
+			}
+			if err := dw.flush(); err != nil {
+				t.Fatal(err)
+			}
+			if got.String() != string(want) {
+				t.Fatalf("page %d, split %d: output differs from strconv", pageCap, split)
+			}
+		}
 	}
 }
 
