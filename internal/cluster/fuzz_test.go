@@ -50,11 +50,11 @@ func validLeg(tb testing.TB) (body []byte, a *commat.Matrix, maxA int64) {
 }
 
 // decodeTestLeg decodes body as testLeg into scratch segments and
-// reports the error and the heap bytes the decode allocated. Heap
+// reports the heap bytes the decode allocated and its error. Heap
 // statistics are process-wide, and the fuzzing engine allocates on
 // goroutines of its own, so the decode runs three times and the least
 // figure counts: the decoder's own share is the same every run.
-func decodeTestLeg(body []byte, a *commat.Matrix) (err error, allocated uint64) {
+func decodeTestLeg(body []byte, a *commat.Matrix) (allocated uint64, err error) {
 	p := testLeg.p
 	segs := make([][]int64, p*p)
 	for i := 0; i < p; i++ {
@@ -72,7 +72,7 @@ func decodeTestLeg(body []byte, a *commat.Matrix) (err error, allocated uint64) 
 		runtime.ReadMemStats(&after)
 		allocated = min(allocated, after.TotalAlloc-before.TotalAlloc)
 	}
-	return err, allocated
+	return allocated, err
 }
 
 // allocSlack covers the decoder's fixed allocations besides the payload
@@ -103,12 +103,12 @@ var corruptions = []struct {
 // the wire; the valid leg itself decodes.
 func TestDecodeExchangeRejects(t *testing.T) {
 	valid, a, maxA := validLeg(t)
-	if err, _ := decodeTestLeg(valid, a); err != nil {
+	if _, err := decodeTestLeg(valid, a); err != nil {
 		t.Fatalf("valid leg refused: %v", err)
 	}
 	for _, c := range corruptions {
 		body := c.edit(bytes.Clone(valid))
-		err, allocated := decodeTestLeg(body, a)
+		allocated, err := decodeTestLeg(body, a)
 		if err == nil {
 			t.Errorf("%s: accepted", c.name)
 			continue
@@ -131,7 +131,7 @@ func FuzzDecodeExchange(f *testing.F) {
 		f.Add(c.edit(bytes.Clone(valid)))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		err, allocated := decodeTestLeg(body, a)
+		allocated, err := decodeTestLeg(body, a)
 		if limit := uint64(8*maxA + allocSlack); allocated > limit {
 			t.Fatalf("decoder allocated %d bytes, bound %d", allocated, limit)
 		}

@@ -206,12 +206,9 @@ func (nd *Node) queryN(r *http.Request) (int64, error) {
 // N-1 requesters per permutation that redoes the O(n/N) arrangement
 // work N-1 times per slot — the trade is bounded peer-facing memory
 // (O(m_i) per in-flight request, no second cache to size against the
-// shard LRU) for CPU. Profiles of a cold 2-node pull put the cost of
-// this endpoint in the wire codec, not in ArrangeRow: a call and an
-// 8-byte allocation per value. So each source block's segments are
-// encoded straight into one reused byte page — per-target write
-// cursors, one pass over the labels — and the page goes out in a
-// single write.
+// shard LRU) for CPU. Profiles of a cold 2-node pull put this
+// endpoint's cost in the wire codec, not in ArrangeRow — it was a call
+// and an 8-byte allocation per value — hence the page encoding below.
 func (nd *Node) handleExchange(w http.ResponseWriter, r *http.Request) {
 	nd.exchangeReqs.Add(1)
 	q := r.URL.Query()
@@ -516,7 +513,7 @@ func (nd *Node) handleChunk(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	vals := sh.Vals[start-sh.Start : start-sh.Start+length]
-	page := make([]byte, chunkPage)
+	page := make([]byte, min(chunkPage, 8*len(vals)))
 	for len(vals) > 0 {
 		m := min(len(vals), chunkPage/8)
 		for t, v := range vals[:m] {
