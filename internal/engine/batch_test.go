@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"math/bits"
 	"sync"
 	"testing"
@@ -163,8 +164,44 @@ func TestMergeShuffleMatchesSerialReference(t *testing.T) {
 // evaluator (and its batched cycle-walk) to the scalar Index, across
 // full-superdomain fast-path sizes (n = 2^even), heavy-walk sizes just
 // above a power of two, and shallow/deep networks; also at every chunk
-// granularity that splits the lane groups unevenly.
+// granularity that splits the lane groups unevenly. Domains too large
+// to sweep are checked on windows at the start, middle and end, at the
+// half widths on either side of the premixed-key cutoff (20 and 30
+// bits run premixed keys, 31 and 32 the raw round function), each with
+// a cycle-walk and, below 32, also as a full superdomain.
 func TestBijectionChunkMatchesIndex(t *testing.T) {
+	wide := []int64{
+		3<<38 + 5, 1 << 40, // half 20
+		1<<59 + 7, 1 << 60, // half 30
+		1<<60 + 1, 1 << 62, // half 31
+		1<<62 + 3, math.MaxInt64, // half 32
+	}
+	for _, rounds := range []int{1, 3, 12} {
+		for _, n := range wide {
+			b := NewBijectionRounds(n, 0xFEED, rounds)
+			const w = 3*bijLanes + 5
+			for _, start := range []int64{0, n/2 - w/2, n - w} {
+				want := make([]int64, w)
+				for i := range want {
+					want[i] = b.Index(start + int64(i))
+				}
+				for _, step := range []int{1, 7, bijLanes, bijLanes + 1, w} {
+					got := make([]int64, w)
+					for k := 0; k < w; k += step {
+						m := min(step, w-k)
+						b.Chunk(got[k:k+m], start+int64(k))
+					}
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("rounds=%d n=%d step=%d: Chunk[%d] = %d, Index = %d",
+								rounds, n, step, start+int64(i), got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+
 	ns := []int64{1, 2, 3, 5, 15, 16, 17, 255, 256, 257, 1000, 1024, 1025, 4096, 5000}
 	for _, rounds := range []int{1, 3, 12} {
 		for _, n := range ns {

@@ -51,6 +51,7 @@ type Bijection struct {
 	half uint     // bit width of each Feistel half (M = 2*half)
 	mask uint64   // half-width mask, 2^half - 1
 	keys []uint64 // per-round keys, expanded from the seed
+	pre  []uint64 // keys premixed as k ^ k>>30 (see feistelRound); nil when half > 30
 	seed uint64   // construction seed, for re-derivation and debugging
 }
 
@@ -87,6 +88,12 @@ func NewBijectionRounds(n int64, seed uint64, rounds int) *Bijection {
 	b.keys = make([]uint64, rounds)
 	for i := range b.keys {
 		b.keys[i] = sm.Uint64()
+	}
+	if b.half <= 30 {
+		b.pre = make([]uint64, rounds)
+		for i, k := range b.keys {
+			b.pre[i] = k ^ k>>30
+		}
 	}
 	return b
 }
@@ -142,8 +149,9 @@ func (b *Bijection) Inverse(y int64) int64 {
 // bijLanes is the interleave width of the batched evaluator: enough
 // independent Feistel chains in flight to hide the round function's
 // multiply latency behind throughput (the serial evaluator is pure
-// latency: ~15 cycles of dependent ALU work per round), few enough that
-// the lane state stays in registers and L1.
+// latency: ~15 cycles of dependent ALU work per round). The lane halves
+// live in two 16-word stack arrays — L1, not registers; each pass of
+// the round loop holds one lane's halves in registers at a time.
 const bijLanes = 16
 
 // Chunk fills dst[k] = Index(start+k) for k in [0, len(dst)): the batch
@@ -215,6 +223,8 @@ func (b *Bijection) Chunk(dst []int64, start int64) {
 // encryptLanes runs the Feistel network forward over every lane of x
 // (len(x) <= bijLanes), round-major: one round's work for all lanes,
 // then the next round. Each lane computes exactly encrypt(x[l]).
+// Halves of at most 30 bits (domains n <= 2^60) run premixedRounds;
+// wider halves run feistelRound as written.
 func (b *Bijection) encryptLanes(x []uint64) {
 	half, mask := b.half, b.mask
 	var lbuf, rbuf [bijLanes]uint64
@@ -222,27 +232,65 @@ func (b *Bijection) encryptLanes(x []uint64) {
 	for l, v := range x {
 		ls[l], rs[l] = v>>half, v&mask
 	}
-	// Two rounds per pass: the halves swap roles in registers, halving
-	// the lane-array traffic (2 loads + 2 stores per pass instead of 4).
-	keys := b.keys
-	for len(keys) >= 2 {
-		k0, k1 := keys[0], keys[1]
-		keys = keys[2:]
-		for l := range ls {
-			lv, rv := ls[l], rs[l]
-			rv, lv = lv^(feistelRound(rv, k0)&mask), rv
-			ls[l], rs[l] = rv, lv^(feistelRound(rv, k1)&mask)
+	if b.pre != nil {
+		premixedRounds(ls, rs, b.pre, mask)
+	} else {
+		// Two rounds per pass: the halves swap roles in registers,
+		// halving the lane-array traffic (2 loads + 2 stores per pass
+		// instead of 4).
+		keys := b.keys
+		for len(keys) >= 2 {
+			k0, k1 := keys[0], keys[1]
+			keys = keys[2:]
+			for l := range ls {
+				lv, rv := ls[l], rs[l]
+				rv, lv = lv^(feistelRound(rv, k0)&mask), rv
+				ls[l], rs[l] = rv, lv^(feistelRound(rv, k1)&mask)
+			}
 		}
-	}
-	if len(keys) == 1 {
-		k := keys[0]
-		for l := range ls {
-			f := feistelRound(rs[l], k) & mask
-			ls[l], rs[l] = rs[l], ls[l]^f
+		if len(keys) == 1 {
+			k := keys[0]
+			for l := range ls {
+				f := feistelRound(rs[l], k) & mask
+				ls[l], rs[l] = rs[l], ls[l]^f
+			}
 		}
 	}
 	for l := range x {
 		x[l] = ls[l]<<half | rs[l]
+	}
+}
+
+// premixedRounds runs the network keyed by the premixed keys pre over
+// the lane halves ls, rs (halves of at most 30 bits): each round is
+// feistelMix(r ^ pre[i]), one shift and one xor cheaper than
+// feistelRound(r, keys[i]) and equal to it.
+func premixedRounds(ls, rs, pre []uint64, mask uint64) {
+	for i := 0; i+1 < len(pre); i += 2 {
+		premixedPair(ls, rs, pre[i], pre[i+1], mask)
+	}
+	if len(pre)%2 == 1 {
+		k := pre[len(pre)-1]
+		rs = rs[:len(ls)]
+		for l := range ls {
+			f := feistelMix(rs[l]^k) & mask
+			ls[l], rs[l] = rs[l], ls[l]^f
+		}
+	}
+}
+
+// premixedPair runs two premixed rounds over every lane. The halves
+// swap roles in registers, halving the lane-array traffic (2 loads + 2
+// stores per pass instead of 4), and the loop is a function of its own
+// so nothing of its callers is live across it: every value then stays
+// in a register, where inlined into encryptLanes the compiler spilled
+// the round temporaries to the stack.
+func premixedPair(ls, rs []uint64, k0, k1, mask uint64) {
+	rs = rs[:len(ls)]
+	for l := range ls {
+		lv, rv := ls[l], rs[l]
+		rv, lv = lv^(feistelMix(rv^k0)&mask), rv
+		ls[l], rs[l] = rv, lv^(feistelMix(rv^k1)&mask)
 	}
 }
 
@@ -269,9 +317,21 @@ func (b *Bijection) decrypt(x uint64) uint64 {
 // invertibility — Feistel networks are bijective for any F — only
 // avalanche, which the finalizer's two multiply-xorshift stages supply
 // across the full 64-bit word even when r occupies a few low bits.
+//
+// The first xorshift distributes over the key when r < 2^30: then
+// (r^k)>>30 == k>>30, so (r^k) ^ (r^k)>>30 == r ^ (k ^ k>>30). A
+// bijection whose halves are at most 30 bits wide stores that premixed
+// key per round (Bijection.pre), and the lane loop computes
+// F(r, k) = feistelMix(r ^ pre) — the same value, one shift and one xor
+// fewer per round.
 func feistelRound(r, k uint64) uint64 {
 	x := r ^ k
-	x ^= x >> 30
+	return feistelMix(x ^ x>>30)
+}
+
+// feistelMix is feistelRound after its first xorshift: the two
+// multiply-xorshift stages.
+func feistelMix(x uint64) uint64 {
 	x *= 0xBF58476D1CE4E5B9
 	x ^= x >> 27
 	x *= 0x94D049BB133111EB

@@ -13,7 +13,9 @@ import "testing"
 // backend: together they say Index is a permutation of [0, n), which is
 // what lets permd serve 2^40-element domains without materializing
 // anything. The bijection holds O(1) state, so the fuzzer can roam the
-// full int64 range of n for free.
+// full int64 range of n for free. The batch evaluator must agree with
+// the scalar one too: Chunk over a window of 1 to bijLanes+1 indices
+// at i (its width drawn from the seed) equals Index element by element.
 func FuzzBijectionIndexInverse(f *testing.F) {
 	f.Add(int64(1), uint64(0), int64(0))
 	f.Add(int64(2), uint64(42), int64(1))
@@ -43,6 +45,15 @@ func FuzzBijectionIndexInverse(f *testing.F) {
 		}
 		if back := b.Index(x); back != i {
 			t.Fatalf("Index(Inverse(%d)) = %d (n=%d seed=%d)", i, back, n, seed)
+		}
+		w := min(1+int64(seed%(bijLanes+1)), n)
+		start := min(i, n-w)
+		win := make([]int64, w)
+		b.Chunk(win, start)
+		for k, v := range win {
+			if want := b.Index(start + int64(k)); v != want {
+				t.Fatalf("Chunk[%d] = %d, Index = %d (n=%d seed=%d width=%d)", start+int64(k), v, want, n, seed, w)
+			}
 		}
 	})
 }

@@ -1,11 +1,46 @@
 // Native fuzz targets for the quota flag grammar — the config surface
-// an operator types under pressure during an overload incident. CI runs
-// a short -fuzztime smoke; longer local runs:
+// an operator types under pressure during an overload incident — and
+// for the decimal encoder every served value passes through. CI runs a
+// short -fuzztime smoke; longer local runs:
 //
 //	go test -run='^$' -fuzz=FuzzParseQuotaSpec -fuzztime=60s ./internal/service
 package service
 
-import "testing"
+import (
+	"math"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// FuzzDecimalLine: for any int64 the encoder writes exactly strconv's
+// decimal and a newline, leaves the bytes already in its buffer alone,
+// and a decimalWriter whose page has only the minimum room for one
+// line (every value a page write of its own) emits the same bytes.
+func FuzzDecimalLine(f *testing.F) {
+	for _, v := range []int64{0, 9, 10, 99_999_999, 100_000_000, 1e15 + 7, 1e16, 1e18, math.MaxInt64, -1, math.MinInt64} {
+		f.Add(v)
+	}
+	f.Fuzz(func(t *testing.T, v int64) {
+		want := strconv.AppendInt(nil, v, 10)
+		want = append(want, '\n')
+		got := appendDecimalLine(append(make([]byte, 0, 3+maxDecimalLine), "ab\n"...), v)
+		if string(got) != "ab\n"+string(want) {
+			t.Fatalf("appendDecimalLine(%d) = %q, want %q", v, got[3:], want)
+		}
+		var out strings.Builder
+		dw := newDecimalWriter(&out, make([]byte, 0, maxDecimalLine))
+		if err := dw.write([]int64{v, v}); err != nil {
+			t.Fatal(err)
+		}
+		if err := dw.flush(); err != nil {
+			t.Fatal(err)
+		}
+		if out.String() != string(want)+string(want) {
+			t.Fatalf("decimalWriter(%d) = %q, want %q twice", v, out.String(), want)
+		}
+	})
+}
 
 // FuzzParseQuotaSpec: the parser must never panic, every accepted spec
 // must be usable (positive burst or explicitly unlimited, finite

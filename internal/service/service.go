@@ -45,6 +45,7 @@ package service
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -631,14 +632,16 @@ func (s *Server) serveRange(w http.ResponseWriter, r *http.Request, pm *randperm
 	}
 }
 
-// maxDecimalLine is the longest line decimalWriter formats: the 20
-// characters of math.MinInt64 plus the newline.
-const maxDecimalLine = 21
+// maxDecimalLine is the room decimalWriter keeps free for one line: a
+// line is at most the 20 characters of math.MinInt64 plus the newline,
+// and the 8-byte digit stores below may write up to 24 bytes past the
+// line's start before it is cut to length.
+const maxDecimalLine = 24
 
 // decimalWriter formats int64s one decimal per line straight into a
 // byte page and writes each full page to w — one copy of every byte,
 // no second buffer in between. The page's capacity is the write size;
-// it must hold at least one line.
+// it must hold at least maxDecimalLine bytes.
 type decimalWriter struct {
 	w    io.Writer
 	page []byte
@@ -667,45 +670,72 @@ func (d *decimalWriter) write(vals []int64) error {
 
 // appendDecimalLine appends v in decimal and a newline to b, which must
 // have room for maxDecimalLine more bytes: the bytes of
-// strconv.AppendInt(b, v, 10) plus '\n', formatted in place two digits
-// at a time instead of through strconv's scratch buffer.
+// strconv.AppendInt(b, v, 10) plus '\n'. A non-negative v is split into
+// a leading group of 1 to 8 digits and zero, one or two full groups of
+// 8; each group is formatted in the byte lanes of one uint64 and
+// written with a single 8-byte store, the leading group shifted down
+// past its leading zeros. Negative values (never served) go through
+// strconv.
 func appendDecimalLine(b []byte, v int64) []byte {
 	if v < 0 {
 		return append(strconv.AppendInt(b, v, 10), '\n')
 	}
 	u := uint64(v)
-	// The digit count: log10 estimated from the bit length, corrected
-	// by one comparison (u|1 keeps 0 at one digit).
-	k := bits.Len64(u|1) * 1233 >> 12
-	if u|1 >= pow10[k] {
-		k++
+	var lead, mid, low uint64 // mid and low are full groups, if present
+	groups := 0
+	switch {
+	case u < 1e8:
+		lead = u
+	case u < 1e16:
+		lead, low = u/1e8, u%1e8
+		groups = 1
+	default:
+		hi := u / 1e8
+		lead, mid, low = hi/1e8, hi%1e8, u%1e8
+		groups = 2
 	}
 	l := len(b)
-	b = b[:l+k+1]
-	d := b[l:]
+	d := b[l : l+maxDecimalLine]
+	g := digits8(lead)
+	// Leading zero digits are the low zero bytes; the sentinel bit in
+	// the top lane (above any digit) keeps the last digit of 0. z is
+	// their width in bits, a multiple of 8 below 64.
+	z := bits.TrailingZeros64(g|1<<63) & 56
+	binary.LittleEndian.PutUint64(d, (g|asciiZeros)>>z)
+	k := 8 - z/8
+	if groups == 2 {
+		binary.LittleEndian.PutUint64(d[k:], digits8(mid)|asciiZeros)
+		k += 8
+	}
+	if groups > 0 {
+		binary.LittleEndian.PutUint64(d[k:], digits8(low)|asciiZeros)
+		k += 8
+	}
 	d[k] = '\n'
-	for u >= 100 {
-		q := u / 100
-		r := 2 * (u - 100*q)
-		k -= 2
-		d[k], d[k+1] = digitPairs[r], digitPairs[r+1]
-		u = q
-	}
-	if u >= 10 {
-		d[0], d[1] = digitPairs[2*u], digitPairs[2*u+1]
-	} else {
-		d[0] = byte('0' + u)
-	}
-	return b
+	return b[:l+k+1]
 }
 
-// digitPairs holds "00" through "99"; pow10[k] is 10^k.
-const digitPairs = "00010203040506070809101112131415161718192021222324252627282930313233343536373839" +
-	"40414243444546474849505152535455565758596061626364656667686970717273747576777879" +
-	"8081828384858687888990919293949596979899"
+// asciiZeros is '0' in every byte lane: OR-ed onto digits8's lanes it
+// turns digit values into their characters.
+const asciiZeros = 0x3030303030303030
 
-var pow10 = [20]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
-	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+// digits8 returns the eight decimal digits of x < 1e8 (leading zeros
+// included) as the byte lanes of a uint64, most significant digit in
+// the lowest byte, so a little-endian store writes them in reading
+// order. Each step divides every lane at once by a multiply-shift that
+// is exact for the lane's range: 4+4 digits by 10^4 as a scalar, then
+// 2+2 per half by 100 (x*5243>>19 == x/100 for x < 43699), then 1+1
+// per quarter by 10 (x*103>>10 == x/10 for x < 179). No lane's product
+// reaches the next lane, and the masks drop what the shifts pull down
+// from it.
+func digits8(x uint64) uint64 {
+	h := uint64(uint32(x) / 1e4)
+	v := h | (x-h*1e4)<<32
+	q := v * 5243 >> 19 & 0x0000007f0000007f
+	v = q | (v-q*100)<<16
+	q = v * 103 >> 10 & 0x000f000f000f000f
+	return q | (v-q*10)<<8
+}
 
 // flush writes out the partial page.
 func (d *decimalWriter) flush() error {
@@ -875,7 +905,10 @@ func (s *Server) handleShuffle(w http.ResponseWriter, r *http.Request) {
 		bw.WriteString(l)
 		bw.WriteByte('\n')
 	}
-	bw.Flush()
+	// A failed write sticks in bw, so Flush reports any of them.
+	if bw.Flush() != nil {
+		return // client went away
+	}
 	s.met.items.Add(int64(len(out)))
 	if ri := reqInfoOf(r); ri != nil {
 		ri.items = int64(len(out))

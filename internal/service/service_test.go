@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"randperm"
+	"randperm/internal/events"
 )
 
 func newTestServer(t *testing.T, cfg Config) *Server {
@@ -224,6 +225,47 @@ func TestShuffleText(t *testing.T) {
 	}
 }
 
+// failingWriter is a ResponseWriter whose client is gone: every body
+// write fails.
+type failingWriter struct{ h http.Header }
+
+func (f *failingWriter) Header() http.Header {
+	if f.h == nil {
+		f.h = http.Header{}
+	}
+	return f.h
+}
+func (f *failingWriter) Write([]byte) (int, error) { return 0, errors.New("client went away") }
+func (f *failingWriter) WriteHeader(int)           {}
+
+// TestShuffleWriteFailureNotCounted: a shuffle whose response never
+// reaches the client counts no items served — neither in the items
+// metric nor on the request event — in both body formats, the rule
+// every other serving handler follows.
+func TestShuffleWriteFailureNotCounted(t *testing.T) {
+	s := newTestServer(t, Config{})
+	sub, err := s.bus.Subscribe(events.All(), s.bus.LastSeq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	for _, tc := range []struct{ contentType, body string }{
+		{"text/plain", "alpha\nbravo\ncharlie\n"},
+		{"application/json", `["alpha","bravo","charlie"]`},
+	} {
+		req := httptest.NewRequest("POST", "/v1/shuffle?seed=11", strings.NewReader(tc.body))
+		req.Header.Set("Content-Type", tc.contentType)
+		s.ServeHTTP(&failingWriter{}, req)
+		if got := s.met.items.Load(); got != 0 {
+			t.Errorf("%s: items metric counts %d undelivered items", tc.contentType, got)
+		}
+		ev := <-sub.Events()
+		if ev.Type != events.TypeRequest || ev.Items != 0 {
+			t.Errorf("%s: request event %v reports %d items, want 0", tc.contentType, ev.Type, ev.Items)
+		}
+	}
+}
+
 // TestShuffleJSON round-trips a JSON array and verifies it is a
 // permutation of the input.
 func TestShuffleJSON(t *testing.T) {
@@ -287,11 +329,16 @@ func TestSample(t *testing.T) {
 }
 
 // TestDecimalWriter: the page writer emits exactly strconv's decimal
-// lines — every digit count, both signs, the int64 extremes — for any
-// page size down to a single line and any split of the values into
-// write calls.
+// lines — every digit count, both signs, the int64 extremes, and the
+// edges of the encoder's 8-digit groups (8/9 digits: one group or two;
+// 16/17: two or three; 19: the longest non-negative line), with zeros
+// inside the full groups — for any page size down to a single line and
+// any split of the values into write calls.
 func TestDecimalWriter(t *testing.T) {
-	vals := []int64{0, 1, -1, math.MaxInt64, math.MinInt64, math.MinInt64 + 1}
+	vals := []int64{0, 1, -1, math.MaxInt64, math.MinInt64, math.MinInt64 + 1,
+		99_999_999, 100_000_000, 100_000_001, 10_000_000_012_345_678,
+		9_999_999_999_999_999, 10_000_000_000_000_000, 10_000_000_100_000_001,
+		1_000_000_000_000_000_000, 1_234_567_890_123_456_789}
 	for p := int64(1); p <= 1e18; p *= 10 {
 		vals = append(vals, p-1, p, p+1, -p)
 	}
@@ -321,6 +368,32 @@ func TestDecimalWriter(t *testing.T) {
 				t.Fatalf("page %d, split %d: output differs from strconv", pageCap, split)
 			}
 		}
+	}
+}
+
+// BenchmarkDecimalWriter measures the served path's encoder alone: a
+// 64Ki-value page formatted into io.Discard through a 32 KiB page, for
+// 13-digit values (a 2^40 domain, the chunk-warm benchmark's request)
+// and 7-digit values.
+func BenchmarkDecimalWriter(b *testing.B) {
+	for _, digits := range []int{13, 7} {
+		b.Run(fmt.Sprintf("digits=%d", digits), func(b *testing.B) {
+			lo := int64(math.Pow10(digits - 1))
+			rng := rand.New(rand.NewPCG(3, 4))
+			vals := make([]int64, 1<<16)
+			for i := range vals {
+				vals[i] = lo + rng.Int64N(9*lo)
+			}
+			dw := newDecimalWriter(io.Discard, make([]byte, 0, 1<<15))
+			b.SetBytes(int64(len(vals)) * int64(digits+1))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if dw.write(vals) != nil || dw.flush() != nil {
+					b.Fatal("write to io.Discard failed")
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(vals)), "ns/value")
+		})
 	}
 }
 
