@@ -425,3 +425,41 @@ func TestDrillUniformReplicated(t *testing.T) {
 		t.Errorf("replicated cluster shuffle non-uniform: %s", res)
 	}
 }
+
+// TestDrillAbandonedRead: a Read whose remote span is stalled at the
+// peer stops that peer call when it is abandoned — returning only once
+// its goroutines have, and building no local shard on its behalf — or
+// when its context is canceled, in which case Finish reports the
+// cancellation.
+func TestDrillAbandonedRead(t *testing.T) {
+	const n, procs, seed = 400, 4, 5
+	nds, proxies := bootChaosCluster(t, 2, procs, 1, nil)
+	proxies[1].Set(chaos.Rule{Path: "chunk", From: 0, Fault: chaos.Stall, Stall: time.Minute})
+	deadline := time.Now().Add(10 * time.Second)
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	rd := nds[0].Permuter(n, seed).StartRead(context.Background(), make([]int64, n), 0)
+	waitFor("the remote span to reach node 1", func() bool { return proxies[1].Requests("chunk") == 1 })
+	rd.Abandon()
+	waitFor("node 1 to release the stalled read", func() bool { return proxies[1].Aborted() == 1 })
+	if got := nds[0].shardBuilds.Load(); got != 0 {
+		t.Errorf("abandoned read built %d local shards", got)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	rd = nds[0].Permuter(n, seed).StartRead(ctx, make([]int64, n), 0)
+	waitFor("the second remote span to reach node 1", func() bool { return proxies[1].Requests("chunk") == 2 })
+	cancel()
+	if _, err := rd.Finish(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Finish after cancel: %v, want context.Canceled", err)
+	}
+	waitFor("node 1 to release the second stalled read", func() bool { return proxies[1].Aborted() == 2 })
+}

@@ -573,11 +573,12 @@ func (nd *Node) fetchChunk(ctx context.Context, k int, n int64, seed uint64, dst
 // advances to the next candidate at once. Each racer fills a private
 // buffer so a cancelled loser can never tear the winner's bytes — not
 // that it could change them: every replica serves identical values,
-// which is why hedging is safe at all.
-func (nd *Node) readRemoteSpan(slot int, n int64, seed uint64, dst []int64, start int64) error {
+// which is why hedging is safe at all. Canceling ctx — the reading
+// client is gone — stops every racer. Either way, no racer outlives
+// the call.
+func (nd *Node) readRemoteSpan(ctx context.Context, slot int, n int64, seed uint64, dst []int64, start int64) error {
 	cands := nd.health.rank(nd.replicasOf(slot))
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+	ctx, cancel := context.WithCancel(ctx)
 
 	type result struct {
 		cand   int
@@ -586,10 +587,17 @@ func (nd *Node) readRemoteSpan(slot int, n int64, seed uint64, dst []int64, star
 		err    error
 	}
 	ch := make(chan result, len(cands))
-	launched := 0
+	launched, pending := 0, 0
+	defer func() {
+		cancel()
+		for ; pending > 0; pending-- {
+			<-ch
+		}
+	}()
 	launch := func(hedged bool) {
 		k := cands[launched]
 		launched++
+		pending++
 		go func() {
 			buf := make([]int64, len(dst))
 			err := nd.fetchChunk(ctx, k, n, seed, buf, start)
@@ -604,17 +612,17 @@ func (nd *Node) readRemoteSpan(slot int, n int64, seed uint64, dst []int64, star
 		defer timer.Stop()
 		hedgeC = timer.C
 	}
-	pending := 1
 	var attempts []error
 	for {
 		select {
+		case <-ctx.Done():
+			return fmt.Errorf("cluster: reading shard slot %d: %w", slot, ctx.Err())
 		case <-hedgeC:
 			hedgeC = nil
 			if launched < len(cands) {
 				nd.hedgedReqs.Add(1)
 				nd.publishServeEvent(cands[launched], RoundServe, slot, "hedge")
 				launch(true)
-				pending++
 			}
 		case res := <-ch:
 			pending--
@@ -627,11 +635,14 @@ func (nd *Node) readRemoteSpan(slot int, n int64, seed uint64, dst []int64, star
 				return nil
 			}
 			attempts = append(attempts, res.err)
+			if ctx.Err() != nil {
+				// The reader left: no failover on its behalf.
+				return fmt.Errorf("cluster: reading shard slot %d: %w", slot, ctx.Err())
+			}
 			if launched < len(cands) {
 				nd.failovers.Add(1)
 				nd.publishServeEvent(cands[launched], RoundServe, slot, "failover")
 				launch(false)
-				pending++
 			} else if pending == 0 {
 				return fmt.Errorf("cluster: no replica of shard slot %d answered: %w", slot, errors.Join(attempts...))
 			}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"sync"
 )
@@ -34,63 +35,132 @@ func (p *Permuter) Len() int64 { return p.n }
 // Chunk fills dst with π(start) .. π(start+len(dst)-1), clamped to the
 // domain end, and returns how many values were written. Spans of slots
 // this node replicates come from local shards; the rest are read from
-// live replicas over HTTP. The spans are read concurrently, one
-// goroutine per slot span, so building a local shard overlaps the
-// peers' builds of theirs. The error is nil exactly when every span
-// was served; otherwise it is the error of the lowest-numbered failed
-// slot, whatever order the spans finished in, and dst may hold the
-// spans that succeeded — callers that promise atomicity (the permd
+// live replicas over HTTP. The spans are read concurrently — every
+// remote span is in flight before the first local one is read — so
+// building a local shard overlaps the peers' builds of theirs. Chunk
+// is StartRead followed by Finish. The error is nil exactly when every
+// span was served; otherwise it is the error of the lowest-numbered
+// failed slot, whatever order the spans finished in, and dst may hold
+// the spans that succeeded — callers that promise atomicity (the permd
 // chunk endpoint does) must buffer before exposing bytes.
 func (p *Permuter) Chunk(dst []int64, start int64) (int, error) {
+	return p.StartRead(context.Background(), dst, start).Finish()
+}
+
+// A Read is a Chunk split in two, for callers that gate local shard
+// builds: StartRead fires every remote span at once, and Finish reads
+// the local spans — building any local shard that is not resident —
+// then waits for the remote ones. A caller that builds this node's
+// shards under its own admission control starts the Read when its
+// build is admitted and finishes it when the build is done, so the
+// local build overlaps the peers' builds of theirs without the remote
+// reads waiting on it. Every Read must end in exactly one Finish or
+// Abandon; both return only after every goroutine the Read started
+// has returned.
+type Read struct {
+	p      *Permuter
+	dst    []int64
+	start  int64
+	spans  []int64 // span boundaries: span s is [spans[s], spans[s+1])
+	errs   []error // per span; valid once wg is done
+	err    error   // a bad start, reported by Finish
+	wg     sync.WaitGroup
+	cancel context.CancelFunc
+}
+
+// StartRead begins reading π(start) .. π(start+len(dst)-1), clamped to
+// the domain end, into dst: each remote span is fetched now, in its own
+// goroutine under ctx, so canceling ctx (or calling Abandon) stops the
+// peer reads. Local spans are left for Finish.
+func (p *Permuter) StartRead(ctx context.Context, dst []int64, start int64) *Read {
+	rd := &Read{p: p, start: start}
+	ctx, rd.cancel = context.WithCancel(ctx)
 	if start < 0 || start > p.n {
-		return 0, fmt.Errorf("cluster: Chunk start %d outside [0, %d]", start, p.n)
+		rd.err = fmt.Errorf("cluster: Chunk start %d outside [0, %d]", start, p.n)
+		return rd
 	}
-	m := int64(len(dst))
-	if rest := p.n - start; rest < m {
-		m = rest
+	rd.dst = dst[:min(int64(len(dst)), p.n-start)]
+	end := start + int64(len(rd.dst))
+	for pos := start; pos < end; {
+		rd.spans = append(rd.spans, pos)
+		_, hi := p.nd.ShardRange(p.n, p.nd.Owner(p.n, pos))
+		pos = min(hi, end)
 	}
-	nd := p.nd
-	var spans []int64 // span boundaries: span s is [spans[s], spans[s+1])
-	for pos := start; pos < start+m; {
-		spans = append(spans, pos)
-		_, hi := nd.ShardRange(p.n, nd.Owner(p.n, pos))
-		pos = min(hi, start+m)
-	}
-	spans = append(spans, start+m)
-	read := func(s int) error {
-		lo, hi := spans[s], spans[s+1]
-		span := dst[lo-start : hi-start]
-		k := nd.Owner(p.n, lo)
-		if !nd.hasDuty(nd.cfg.Self, k) {
-			return nd.readRemoteSpan(k, p.n, p.seed, span, lo)
-		}
-		sh, err := nd.shard(k, p.n, p.seed)
-		if err != nil {
-			return err
-		}
-		copy(span, sh.Vals[lo-sh.Start:])
-		return nil
-	}
-	errs := make([]error, len(spans)-1)
-	if len(errs) == 1 {
-		errs[0] = read(0)
-	} else {
-		var wg sync.WaitGroup
-		for s := range errs {
-			wg.Add(1)
+	rd.spans = append(rd.spans, end)
+	rd.errs = make([]error, len(rd.spans)-1)
+	for s := range rd.errs {
+		if k, span, lo := rd.span(s); !rd.local(k) {
+			rd.wg.Add(1)
 			go func() {
-				defer wg.Done()
-				errs[s] = read(s)
+				defer rd.wg.Done()
+				rd.errs[s] = p.nd.readRemoteSpan(ctx, k, p.n, p.seed, span, lo)
 			}()
 		}
-		wg.Wait()
 	}
-	for _, err := range errs {
+	return rd
+}
+
+// span returns span s's shard slot, its window of dst and its first
+// index.
+func (rd *Read) span(s int) (slot int, span []int64, lo int64) {
+	lo = rd.spans[s]
+	return rd.p.nd.Owner(rd.p.n, lo), rd.dst[lo-rd.start : rd.spans[s+1]-rd.start], lo
+}
+
+// local reports whether this node replicates slot, so its span is read
+// from a local shard.
+func (rd *Read) local(slot int) bool { return rd.p.nd.hasDuty(rd.p.nd.cfg.Self, slot) }
+
+// Finish reads the local spans — concurrently when there are several,
+// each building its shard if it is not resident — waits for the remote
+// spans, and returns how many values were written. The error follows
+// Chunk's rule: that of the lowest-numbered failed slot.
+func (rd *Read) Finish() (int, error) {
+	defer rd.cancel()
+	if rd.err != nil {
+		return 0, rd.err
+	}
+	var local []int
+	for s := range rd.errs {
+		if k, _, _ := rd.span(s); rd.local(k) {
+			local = append(local, s)
+		}
+	}
+	read := func(s int) {
+		k, span, lo := rd.span(s)
+		sh, err := rd.p.nd.shard(k, rd.p.n, rd.p.seed)
+		if err != nil {
+			rd.errs[s] = err
+			return
+		}
+		copy(span, sh.Vals[lo-sh.Start:])
+	}
+	for i, s := range local {
+		if i == len(local)-1 {
+			read(s) // the last one on this goroutine
+			break
+		}
+		rd.wg.Add(1)
+		go func() {
+			defer rd.wg.Done()
+			read(s)
+		}()
+	}
+	rd.wg.Wait()
+	for _, err := range rd.errs {
 		if err != nil {
 			return 0, err
 		}
 	}
-	return int(m), nil
+	return len(rd.dst), nil
+}
+
+// Abandon stops a Read that will not be finished: it cancels the
+// remote spans and waits for their goroutines. The local spans are
+// never read, so no local shard is built on its behalf.
+func (rd *Read) Abandon() {
+	rd.cancel()
+	rd.wg.Wait()
 }
 
 // Materialize assembles every shard this node replicates now (running

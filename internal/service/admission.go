@@ -36,10 +36,11 @@ var errBuildQueueFull = errors.New("materialization queue full: every build slot
 // can be abandoned: each waiter that disconnects decrements the count,
 // and the last one out cancels the engine work.
 type buildAttempt struct {
-	done    chan struct{} // closed when the attempt completes
-	err     error         // valid after done is closed
-	waiters int
-	cancel  context.CancelFunc
+	admitted chan struct{} // closed once the attempt holds a build slot
+	done     chan struct{} // closed when the attempt completes
+	err      error         // valid after done is closed
+	waiters  int
+	cancel   context.CancelFunc
 }
 
 // buildGate is the per-cache-entry controller. The zero value is ready;
@@ -57,7 +58,16 @@ type buildGate struct {
 // use; racing requests for one handle share one build and one queue
 // slot, and a request that arrives just as the previous waiters
 // abandoned their build simply starts (and governs) a fresh one.
-func (s *Server) ensureMaterialized(ctx context.Context, e *handleEntry) error {
+//
+// onAdmit, when non-nil, runs on the calling goroutine once the build
+// this request waits on holds a build slot — the moment the gate has
+// committed to the build — so a caller can start work that must not
+// begin while the request is merely queued, such as a cluster read's
+// peer fetches. It may run once per build attempt joined, or not at
+// all (the handle was resident, or the attempt finished before the
+// admission was observed), so callers must make it idempotent and
+// start the same work themselves after a nil return.
+func (s *Server) ensureMaterialized(ctx context.Context, e *handleEntry, onAdmit func()) error {
 	if e.key.backend == randperm.BackendBijective {
 		return nil
 	}
@@ -65,7 +75,7 @@ func (s *Server) ensureMaterialized(ctx context.Context, e *handleEntry) error {
 		if e.pm.Materialized() {
 			return nil
 		}
-		err := s.joinBuild(ctx, e)
+		err := s.joinBuild(ctx, e, onAdmit)
 		switch {
 		case err == nil:
 			return nil
@@ -85,45 +95,56 @@ func (s *Server) ensureMaterialized(ctx context.Context, e *handleEntry) error {
 }
 
 // joinBuild waits on (starting if necessary) the entry's in-flight
-// build attempt.
-func (s *Server) joinBuild(ctx context.Context, e *handleEntry) error {
+// build attempt, calling onAdmit (if non-nil) when the attempt is
+// admitted.
+func (s *Server) joinBuild(ctx context.Context, e *handleEntry, onAdmit func()) error {
 	g := &e.gate
 	g.mu.Lock()
 	a := g.cur
 	if a == nil {
 		bctx, cancel := context.WithCancel(context.Background())
-		a = &buildAttempt{done: make(chan struct{}), cancel: cancel}
+		a = &buildAttempt{admitted: make(chan struct{}), done: make(chan struct{}), cancel: cancel}
 		g.cur = a
 		go s.runBuild(a, e, bctx)
 	}
 	a.waiters++
 	g.mu.Unlock()
 
-	select {
-	case <-a.done:
-		return a.err
-	case <-ctx.Done():
-		g.mu.Lock()
-		a.waiters--
-		if a.waiters == 0 {
-			// Last interested client gone: abort the engine work.
-			a.cancel()
+	var admitted <-chan struct{} // nil (never ready) once observed
+	if onAdmit != nil {
+		admitted = a.admitted
+	}
+	for {
+		select {
+		case <-admitted:
+			admitted = nil
+			onAdmit()
+		case <-a.done:
+			return a.err
+		case <-ctx.Done():
+			g.mu.Lock()
+			a.waiters--
+			if a.waiters == 0 {
+				// Last interested client gone: abort the engine work.
+				a.cancel()
+			}
+			g.mu.Unlock()
+			return ctx.Err()
 		}
-		g.mu.Unlock()
-		return ctx.Err()
 	}
 }
 
 // runBuild is the attempt body: acquire a build slot (queueing up to
-// BuildWait), run the handle's materialization under the attempt
-// context, release, and publish the result. It runs in its own
-// goroutine so that no single request's lifetime governs the build —
-// only the waiter refcount does.
+// BuildWait), announce the admission to the waiters, run the handle's
+// materialization under the attempt context, release, and publish the
+// result. It runs in its own goroutine so that no single request's
+// lifetime governs the build — only the waiter refcount does.
 func (s *Server) runBuild(a *buildAttempt, e *handleEntry, bctx context.Context) {
 	defer a.cancel()
 	queued, err := s.acquireBuildSlot(bctx)
 	s.publishAdmission(e.key, queued, err)
 	if err == nil {
+		close(a.admitted)
 		s.met.admissionBuilds.Add(1)
 		s.met.admissionInflight.Add(1)
 		err = e.pm.MaterializeContext(bctx)

@@ -1,12 +1,17 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"randperm/internal/cluster/chaos"
 	"randperm/internal/harness/testkit"
@@ -144,9 +149,11 @@ func TestClusterServiceSurfaces(t *testing.T) {
 }
 
 // bootChaosServiceCluster is bootServiceCluster with every node behind
-// a chaos.Proxy, for service-level failure drills.
-func bootChaosServiceCluster(t *testing.T, nodes int, base Config) ([]*httptest.Server, []*chaos.Proxy) {
+// a chaos.Proxy, for service-level failure drills. It also returns each
+// node's Server, for drills that reach into the admission gate.
+func bootChaosServiceCluster(t *testing.T, nodes int, base Config) ([]*httptest.Server, []*chaos.Proxy, []*Server) {
 	t.Helper()
+	permds := make([]*Server, nodes)
 	servers, proxies := testkit.LoopbackChaos(t, nodes, func(k int, peers []string) http.Handler {
 		cfg := base
 		cfg.ClusterPeers = peers
@@ -155,12 +162,13 @@ func bootChaosServiceCluster(t *testing.T, nodes int, base Config) ([]*httptest.
 		if err != nil {
 			t.Fatal(err)
 		}
+		permds[k] = s
 		return s
 	})
 	for _, srv := range servers {
 		testkit.WaitHealthy(t, srv.URL)
 	}
-	return servers, proxies
+	return servers, proxies, permds
 }
 
 // TestClusterServiceReplicatedDrill is the service-level acceptance
@@ -176,7 +184,7 @@ func TestClusterServiceReplicatedDrill(t *testing.T) {
 		t.Fatalf("single-node reference failed: %q", want)
 	}
 	for victim := 0; victim < 3; victim++ {
-		servers, proxies := bootChaosServiceCluster(t, 3, Config{Procs: procs, ClusterReplicas: 2})
+		servers, proxies, _ := bootChaosServiceCluster(t, 3, Config{Procs: procs, ClusterReplicas: 2})
 		// Replication shows up in the liveness echo.
 		var h struct {
 			Cluster struct {
@@ -214,7 +222,7 @@ func TestClusterServiceReplicatedDrill(t *testing.T) {
 // permutation to a client.
 func TestClusterServiceAtomicFailure(t *testing.T) {
 	const n, seed = 500, 3
-	servers, proxies := bootChaosServiceCluster(t, 2, Config{Procs: 4})
+	servers, proxies, _ := bootChaosServiceCluster(t, 2, Config{Procs: 4})
 	proxies[1].Kill()
 	// The whole domain: node 0's own shard would be served first if the
 	// handler streamed eagerly — the dead far shard must take the whole
@@ -230,5 +238,156 @@ func TestClusterServiceAtomicFailure(t *testing.T) {
 	// The typed peer error survives to the operator-visible message.
 	if !strings.Contains(body, "node 1") {
 		t.Errorf("error does not name the dead peer: %.200s", body)
+	}
+}
+
+// TestClusterColdPullStallDrill pins the overlap of a cold cluster
+// pull's shard builds. Node 0's gated build is held in round 2 — node
+// 1 stalls node 0's exchange fetch — yet node 1 must build its own
+// shard for the same pull before the stall ends: node 0's peer reads
+// start when its build is admitted, not after the build. Concurrent
+// pulls share the one admitted build, and each answers with the
+// single-node bytes.
+func TestClusterColdPullStallDrill(t *testing.T) {
+	const n, seed, procs, pulls = 4096, 17, 4, 4
+	const stall = time.Second
+	path := fmt.Sprintf("/v1/perm/%d/chunk?n=%d&len=%d&backend=cluster", seed, n, n)
+	_, want := get(t, newTestServer(t, Config{Procs: procs}), path)
+	servers, proxies, permds := bootChaosServiceCluster(t, 2, Config{Procs: procs})
+	proxies[1].Set(chaos.Rule{Path: "exchange", From: 0, Fault: chaos.Stall, Stall: stall})
+
+	type answer struct {
+		code int
+		body string
+		err  error
+	}
+	done := make(chan answer, pulls)
+	began := time.Now()
+	for range pulls {
+		go func() {
+			resp, err := http.Get(servers[0].URL + path)
+			if err != nil {
+				done <- answer{err: err}
+				return
+			}
+			defer resp.Body.Close()
+			body, err := io.ReadAll(resp.Body)
+			done <- answer{resp.StatusCode, string(body), err}
+		}()
+	}
+	for metricValue(t, permds[1], "permd_cluster_shard_builds_total") == 0 {
+		if time.Since(began) >= stall {
+			t.Fatalf("node 1 built no shard while node 0's build stalled for %v: the peer read waited for the local build", stall)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for range pulls {
+		a := <-done
+		if a.err != nil || a.code != http.StatusOK {
+			t.Fatalf("stalled cold pull: status %d, err %v: %.200s", a.code, a.err, a.body)
+		}
+		if a.body != want {
+			t.Errorf("stalled cold pull differs from the single-node bytes")
+		}
+	}
+	// Node 0's build, and so every pull, was held by the stall.
+	if took := time.Since(began); took < stall || proxies[1].Requests("exchange") == 0 {
+		t.Errorf("pulls took %v with %d exchanges at node 1: node 0's build was never stalled", took, proxies[1].Requests("exchange"))
+	}
+	for k, permd := range permds {
+		if got := metricValue(t, permd, "permd_cluster_shard_builds_total"); got != 1 {
+			t.Errorf("node %d built %d shards for %d concurrent pulls, want 1", k, got, pulls)
+		}
+	}
+	if got := metricValue(t, permds[0], "permd_admission_builds_total"); got != 1 {
+		t.Errorf("node 0 admitted %d builds for %d concurrent pulls, want 1", got, pulls)
+	}
+}
+
+// TestClusterBuildQueueNoPeerReads pins the bounds of a cluster read's
+// early peer reads. A cold backend=cluster read queued behind node 0's
+// full build gate sends node 1 no chunk request, before or after the
+// queue deadline refuses it with a bare 503. And a client that leaves
+// while its admitted read waits on a stalled peer takes every
+// goroutine the read started, on both nodes, with it.
+func TestClusterBuildQueueNoPeerReads(t *testing.T) {
+	const n = 4096
+	servers, proxies, permds := bootChaosServiceCluster(t, 2, Config{Procs: 4, MaxBuilds: 1, BuildWait: 100 * time.Millisecond})
+	path := fmt.Sprintf("%s/v1/perm/5/chunk?n=%d&len=%d&backend=cluster", servers[0].URL, n, n)
+	permds[0].buildSem <- struct{}{} // hold node 0's only slot
+	resp, err := http.Get(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("queued cluster read: status %d (Retry-After %q), want 503", resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	if !strings.HasPrefix(string(body), "permd:") {
+		t.Errorf("refused cluster read carries payload bytes: %.80s", body)
+	}
+	if got := permds[0].met.admissionQueued.Load(); got != 1 {
+		t.Errorf("admission queue count = %d, want 1", got)
+	}
+	// Request counts only grow, so zero now means zero all along.
+	if got := proxies[1].Requests("chunk"); got != 0 {
+		t.Errorf("node 1 saw %d chunk requests from a read that was never admitted", got)
+	}
+	if got := metricValue(t, permds[1], "permd_cluster_shard_builds_total"); got != 0 {
+		t.Errorf("node 1 built %d shards for a read that was never admitted", got)
+	}
+
+	// The admitted read: its peer read stalls at node 1 until the client
+	// gives up.
+	<-permds[0].buildSem
+	proxies[1].Set(chaos.Rule{Path: "cluster/chunk", From: 0, Fault: chaos.Stall, Stall: time.Minute})
+	// The test and both nodes share the default transport, so closing
+	// its idle connections returns every connection goroutine the
+	// traffic left behind, on both ends; a connection still in use —
+	// a peer read that outlived its request — stays open.
+	settle := func() int {
+		http.DefaultTransport.(*http.Transport).CloseIdleConnections()
+		time.Sleep(20 * time.Millisecond)
+		return runtime.NumGoroutine()
+	}
+	baseline := settle()
+	for g := settle(); g != baseline; g = settle() {
+		baseline = g
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, "GET", path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errc := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+			err = fmt.Errorf("status %d", resp.StatusCode)
+		}
+		errc <- err
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for proxies[1].Requests("chunk") == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the admitted read never reached node 1")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("disconnected read: %v, want context.Canceled", err)
+	}
+	g := settle()
+	for g > baseline && time.Now().Before(deadline) {
+		g = settle()
+	}
+	if g > baseline {
+		t.Errorf("goroutines after the client left: %d, baseline %d — a peer read outlived its request", g, baseline)
+	}
+	if got := proxies[1].Aborted(); got != 1 {
+		t.Errorf("stalled peer reads released by cancellation = %d, want 1", got)
 	}
 }

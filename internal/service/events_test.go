@@ -386,7 +386,7 @@ func TestEventsByteIdentity(t *testing.T) {
 // round the PeerError names, and a peer_health_change demoting the
 // dead peer.
 func TestEventsChaosKillDrill(t *testing.T) {
-	servers, proxies := bootChaosServiceCluster(t, 2, Config{Procs: 4})
+	servers, proxies, _ := bootChaosServiceCluster(t, 2, Config{Procs: 4})
 	c := openEvents(t, servers[0].URL, "?types=cluster_round,peer_health_change", nil)
 
 	proxies[1].Kill()

@@ -66,7 +66,7 @@ type metrics struct {
 }
 
 // rangeStats is one range endpoint's served values and the wall
-// nanoseconds spent serving them, recorded by Server.serveRange.
+// nanoseconds spent serving them, recorded by Server.countRange.
 type rangeStats struct {
 	items, ns atomic.Int64
 }

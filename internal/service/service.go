@@ -526,10 +526,11 @@ func (s *Server) admitItems(w http.ResponseWriter, r *http.Request, cost int64) 
 // admitBuild forces the handle through the materialization admission
 // gate (see admission.go), mapping refusals onto HTTP: a full build
 // queue becomes 503 + Retry-After, a failed build 500, and a client
-// that disconnected while queued gets nothing (it is gone). Reports
-// whether serving may proceed.
-func (s *Server) admitBuild(w http.ResponseWriter, r *http.Request, e *handleEntry) bool {
-	err := s.ensureMaterialized(r.Context(), e)
+// that disconnected while queued gets nothing (it is gone). onAdmit is
+// ensureMaterialized's admission hook. Reports whether serving may
+// proceed.
+func (s *Server) admitBuild(w http.ResponseWriter, r *http.Request, e *handleEntry, onAdmit func()) bool {
+	err := s.ensureMaterialized(r.Context(), e, onAdmit)
 	switch {
 	case err == nil:
 		return true
@@ -564,35 +565,72 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 	if !s.admitItems(w, r, max(length, 1)) {
 		return
 	}
-	if !s.admitBuild(w, r, e) {
+	if backend == randperm.BackendCluster && s.node != nil {
+		s.serveClusterRange(w, r, e, start, length)
 		return
 	}
-	// A cluster read can fail at any peer at any span boundary, and the
-	// failure-semantics contract (OPERATIONS.md) promises no partial
-	// bytes, so a sharded range is served atomically.
-	atomic := backend == randperm.BackendCluster && s.node != nil
-	s.serveRange(w, r, e.pm, start, length, atomic, &s.met.chunk)
+	if !s.admitBuild(w, r, e, nil) {
+		return
+	}
+	s.serveRange(w, r, e.pm, start, length, &s.met.chunk)
+}
+
+// serveClusterRange serves a backend=cluster range. A cluster read can
+// fail at any peer at any span boundary, and the failure-semantics
+// contract (OPERATIONS.md) promises no partial bytes, so the range is
+// read whole into memory before the first byte goes out: a failed read
+// becomes a 500 with no partial body (cluster requests passed the MaxN
+// gate, which bounds the buffer). This node's shards are built under
+// the admission gate like any materializing handle, and the peer reads
+// start the moment that build is admitted — or at once when the shards
+// are resident — so the local build overlaps the peers' builds of
+// theirs. A request still queued for a build slot holds no buffer and
+// has no peer read in flight; one that is refused, fails or loses its
+// client cancels its peer reads and waits for them before returning.
+func (s *Server) serveClusterRange(w http.ResponseWriter, r *http.Request, e *handleEntry, start, length int64) {
+	var buf []int64
+	var rd *cluster.Read
+	startRead := func() {
+		if rd == nil {
+			buf = make([]int64, length)
+			rd = s.node.Permuter(e.key.n, e.key.seed).StartRead(r.Context(), buf, start)
+		}
+	}
+	if !s.admitBuild(w, r, e, startRead) {
+		if rd != nil {
+			rd.Abandon()
+		}
+		return
+	}
+	began := time.Now()
+	startRead()
+	if _, err := rd.Finish(); err != nil {
+		if r.Context().Err() != nil {
+			s.met.errors.Add(1) // the client left; nobody reads an answer
+			return
+		}
+		s.httpError(w, http.StatusInternalServerError, "reading chunk: %v", err)
+		return
+	}
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	dw := newDecimalWriter(w, make([]byte, 0, 1<<15))
+	if dw.write(buf) != nil || dw.flush() != nil {
+		return // client went away
+	}
+	s.countRange(r, length, began, &s.met.chunk)
 }
 
 // serveRange writes π(start) .. π(start+length-1) one decimal per line
 // and records the values served and the wall time on stats (and on the
-// request event). A paged range reads through the pooled MaxChunk
-// buffer, so a huge range holds O(MaxChunk) memory. An atomic range is
-// read whole into memory before the first byte goes out, so a failed
-// read becomes a 500 with no partial body; callers bound its length
-// (cluster requests passed the MaxN gate). Error responses — a 500
-// before the first byte, truncation after — are handled here.
-func (s *Server) serveRange(w http.ResponseWriter, r *http.Request, pm *randperm.Permuter, start, length int64, atomic bool, stats *rangeStats) {
+// request event). It reads through the pooled MaxChunk buffer, so a
+// huge range holds O(MaxChunk) memory. Error responses — a 500 before
+// the first byte, truncation after — are handled here.
+func (s *Server) serveRange(w http.ResponseWriter, r *http.Request, pm *randperm.Permuter, start, length int64, stats *rangeStats) {
 	began := time.Now()
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	var buf []int64
-	if atomic {
-		buf = make([]int64, length)
-	} else {
-		bufp := s.bufs.Get().(*[]int64)
-		defer s.bufs.Put(bufp)
-		buf = *bufp
-	}
+	bufp := s.bufs.Get().(*[]int64)
+	defer s.bufs.Put(bufp)
+	buf := *bufp
 	dw := newDecimalWriter(w, make([]byte, 0, 1<<15))
 	served := int64(0)
 	for served < length {
@@ -607,7 +645,7 @@ func (s *Server) serveRange(w http.ResponseWriter, r *http.Request, pm *randperm
 		if err != nil {
 			if served == 0 {
 				// Nothing flushed yet: a real error response is still
-				// possible — a cluster peer failure surfaces here.
+				// possible.
 				s.httpError(w, http.StatusInternalServerError, "reading chunk: %v", err)
 				return
 			}
@@ -624,6 +662,13 @@ func (s *Server) serveRange(w http.ResponseWriter, r *http.Request, pm *randperm
 	if dw.flush() != nil {
 		return
 	}
+	s.countRange(r, served, began, stats)
+}
+
+// countRange records a delivered range of served values, read and
+// written since began, on the items metric, on stats and on the request
+// event.
+func (s *Server) countRange(r *http.Request, served int64, began time.Time, stats *rangeStats) {
 	s.met.items.Add(served)
 	stats.items.Add(served)
 	stats.ns.Add(time.Since(began).Nanoseconds())
@@ -786,7 +831,7 @@ func (s *Server) handleAt(w http.ResponseWriter, r *http.Request) {
 	if !s.admitItems(w, r, 1) {
 		return
 	}
-	if !s.admitBuild(w, r, e) {
+	if !s.admitBuild(w, r, e, nil) {
 		return
 	}
 	// Read through Chunk rather than At: same bytes, but an

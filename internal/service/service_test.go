@@ -238,30 +238,37 @@ func (f *failingWriter) Header() http.Header {
 func (f *failingWriter) Write([]byte) (int, error) { return 0, errors.New("client went away") }
 func (f *failingWriter) WriteHeader(int)           {}
 
-// TestShuffleWriteFailureNotCounted: a shuffle whose response never
-// reaches the client counts no items served — neither in the items
-// metric nor on the request event — in both body formats, the rule
-// every other serving handler follows.
-func TestShuffleWriteFailureNotCounted(t *testing.T) {
+// TestWriteFailureNotCounted: a response that never reaches the client
+// counts nothing served — not in the items metric, not in the
+// endpoint's own counter (/v1/assign's lookups), not on the request
+// event — on /v1/shuffle in both body formats and on /v1/assign, the
+// rule every serving handler follows.
+func TestWriteFailureNotCounted(t *testing.T) {
 	s := newTestServer(t, Config{})
 	sub, err := s.bus.Subscribe(events.All(), s.bus.LastSeq())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sub.Close()
-	for _, tc := range []struct{ contentType, body string }{
-		{"text/plain", "alpha\nbravo\ncharlie\n"},
-		{"application/json", `["alpha","bravo","charlie"]`},
+	for _, tc := range []struct{ name, method, path, contentType, body string }{
+		{"shuffle text", "POST", "/v1/shuffle?seed=11", "text/plain", "alpha\nbravo\ncharlie\n"},
+		{"shuffle json", "POST", "/v1/shuffle?seed=11", "application/json", `["alpha","bravo","charlie"]`},
+		{"assign", "GET", "/v1/assign?seed=11&n=1000&id=7&spec=control:1,treat:1", "", ""},
 	} {
-		req := httptest.NewRequest("POST", "/v1/shuffle?seed=11", strings.NewReader(tc.body))
-		req.Header.Set("Content-Type", tc.contentType)
+		req := httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body))
+		if tc.contentType != "" {
+			req.Header.Set("Content-Type", tc.contentType)
+		}
 		s.ServeHTTP(&failingWriter{}, req)
 		if got := s.met.items.Load(); got != 0 {
-			t.Errorf("%s: items metric counts %d undelivered items", tc.contentType, got)
+			t.Errorf("%s: items metric counts %d undelivered items", tc.name, got)
+		}
+		if got := s.met.assignLookups.Load(); got != 0 {
+			t.Errorf("%s: assign lookups metric counts %d undelivered lookups", tc.name, got)
 		}
 		ev := <-sub.Events()
 		if ev.Type != events.TypeRequest || ev.Items != 0 {
-			t.Errorf("%s: request event %v reports %d items, want 0", tc.contentType, ev.Type, ev.Items)
+			t.Errorf("%s: request event %v reports %d items, want 0", tc.name, ev.Type, ev.Items)
 		}
 	}
 }

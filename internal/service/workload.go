@@ -132,7 +132,9 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 	idx, name := spec.Find(n, one[0])
 	w.Header().Set("Permd-Bucket", strconv.Itoa(idx))
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.Write([]byte(name + "\n"))
+	if _, err := w.Write([]byte(name + "\n")); err != nil {
+		return // client went away: nothing was delivered, nothing counted
+	}
 	s.met.assignLookups.Add(1)
 	s.met.items.Add(1)
 	if ri := reqInfoOf(r); ri != nil {
@@ -200,5 +202,5 @@ func (s *Server) handleEpochs(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Permd-Epoch-Key", strconv.FormatUint(key, 10))
 	w.Header().Set("Permd-Epoch-Mode", mode.String())
-	s.serveRange(w, r, e.pm, start, length, false, &s.met.epochs)
+	s.serveRange(w, r, e.pm, start, length, &s.met.epochs)
 }
