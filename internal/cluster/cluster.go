@@ -55,6 +55,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -63,6 +64,7 @@ import (
 	"randperm/internal/core"
 	"randperm/internal/engine"
 	"randperm/internal/events"
+	"randperm/internal/metrics"
 )
 
 // Config wires one node into a cluster. All nodes must agree on Procs,
@@ -140,19 +142,13 @@ type Node struct {
 	shards map[shardKey]*list.Element // value: *shardEntry
 	lru    *list.List                 // front = most recently used
 
-	// Counters for /v1/cluster/status and the permd /metrics page.
-	exchangeReqs  atomic.Int64 // exchange requests served to peers
-	exchangeItems atomic.Int64 // values shipped in exchange responses
-	chunkReqs     atomic.Int64 // shard-local chunk requests served
-	chunkItems    atomic.Int64 // values served from local shards
-	proxyReqs     atomic.Int64 // chunk requests this node sent to peers
-	proxyItems    atomic.Int64 // values fetched from peers
-	shardBuilds   atomic.Int64 // shards assembled (cache misses)
-	shardBuildNs  atomic.Int64 // wall time spent assembling shards
-	hedgedReqs    atomic.Int64 // secondary replica requests fired by the hedge timer
-	hedgeWins     atomic.Int64 // hedged requests that answered first
-	failovers     atomic.Int64 // replica requests fired because an earlier one failed
-	joinReqs      atomic.Int64 // join handshakes served to peers
+	// met holds the node's metric families, printed on the permd
+	// /metrics page; its counters are also /v1/cluster/status's. The
+	// handles below are declared in declareMetrics.
+	met                                                metrics.Registry
+	exchangeReqs, exchangeItems, chunkReqs, chunkItems *metrics.Value
+	proxyReqs, proxyItems, shardBuilds, shardBuildNs   *metrics.Value
+	hedgedReqs, hedgeWins, failovers, joinReqs         *metrics.Value
 }
 
 // New validates cfg and returns the node. It performs no network I/O:
@@ -197,6 +193,7 @@ func New(cfg Config) (*Node, error) {
 		shards: make(map[shardKey]*list.Element),
 		lru:    list.New(),
 	}
+	nd.declareMetrics()
 	nd.health.onChange = func(k int, from, to peerState) {
 		ev := events.New(events.TypePeerHealthChange)
 		ev.Peer = k
@@ -206,6 +203,36 @@ func New(cfg Config) (*Node, error) {
 	}
 	return nd, nil
 }
+
+// declareMetrics declares the node's families, in the order /metrics
+// prints them.
+func (nd *Node) declareMetrics() {
+	r := &nd.met
+	nd.exchangeReqs = r.Counter("permd_cluster_exchange_requests_total", "Round-2 exchange requests served to peers.")
+	nd.exchangeItems = r.Counter("permd_cluster_exchange_items_total", "Values shipped to peers in exchange responses.")
+	nd.chunkReqs = r.Counter("permd_cluster_chunk_requests_total", "Shard-local chunk requests served to peers.")
+	nd.chunkItems = r.Counter("permd_cluster_chunk_items_total", "Values served to peers from local shards.")
+	nd.proxyReqs = r.Counter("permd_cluster_proxied_requests_total", "Chunk requests this node sent to owning peers.")
+	nd.proxyItems = r.Counter("permd_cluster_proxied_items_total", "Values fetched from owning peers.")
+	nd.shardBuilds = r.Counter("permd_cluster_shard_builds_total", "Shards assembled through the three exchange rounds.")
+	nd.shardBuildNs = r.Counter("permd_cluster_shard_build_ns_total", "Wall nanoseconds spent assembling shards.")
+	nd.hedgedReqs = r.Counter("permd_cluster_hedged_requests_total", "Secondary replica reads fired by the hedge timer.")
+	nd.hedgeWins = r.Counter("permd_cluster_hedge_wins_total", "Hedged replica reads that answered first.")
+	nd.failovers = r.Counter("permd_cluster_failovers_total", "Replica requests fired because an earlier replica failed.")
+	nd.joinReqs = r.Counter("permd_cluster_join_requests_total", "Join handshakes served to peers.")
+	r.LabeledGaugeFunc("permd_cluster_peer_health", "Peer health as observed by this node (0 healthy, 1 suspect, 2 down).", "peer",
+		func(emit func(string, int64)) {
+			for k, s := range nd.health.snapshot() {
+				if k != nd.cfg.Self {
+					emit(strconv.Itoa(k), int64(s))
+				}
+			}
+		})
+}
+
+// Metrics returns the node's metric families; permd writes them on its
+// /metrics page after its own.
+func (nd *Node) Metrics() *metrics.Registry { return &nd.met }
 
 // publish offers ev to the configured event bus, if any. Safe on a
 // node without one — the drills and library users run bus-less.

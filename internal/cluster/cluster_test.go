@@ -342,7 +342,7 @@ func TestStatusAndMetrics(t *testing.T) {
 		t.Fatalf("full-domain chunk proxied nothing: %+v", st.Counters)
 	}
 	var sb strings.Builder
-	nds[1].WriteMetrics(&sb)
+	nds[1].met.Write(&sb)
 	for _, want := range []string{
 		"permd_cluster_exchange_requests_total 1",
 		"permd_cluster_chunk_requests_total 1",

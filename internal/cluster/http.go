@@ -10,23 +10,27 @@ import (
 	"net/http"
 	"slices"
 	"strconv"
+	"strings"
 	"time"
 
 	"randperm/internal/commat"
 	"randperm/internal/core"
 	"randperm/internal/engine"
 	"randperm/internal/events"
+	"randperm/internal/metrics"
 )
 
-// publishServeEvent reports a hedge or failover decision on a routed
-// read (or an exchange failover) as a cluster_round event: Peer is the
-// replica being tried, Round names the phase, Detail the decision.
-func (nd *Node) publishServeEvent(peer, round, slot int, detail string) {
+// serveEvent records a hedge or failover decision on a routed read (or
+// an exchange failover) on its counter c and as a cluster_round event:
+// Peer is the replica being tried, Round names the phase, Detail the
+// decision.
+func (nd *Node) serveEvent(c *metrics.Value, peer, round, slot int, detail string) {
 	ev := events.New(events.TypeClusterRound)
 	ev.Peer = peer
 	ev.Round = round
 	ev.Slot = slot
 	ev.Detail = detail
+	c.Add(1)
 	nd.publish(ev)
 }
 
@@ -344,8 +348,7 @@ func (nd *Node) fetchExchangeSlot(from, to int, n int64, seed uint64, a *commat.
 	var attempts []error
 	for try, k := range cands {
 		if try > 0 {
-			nd.failovers.Add(1)
-			nd.publishServeEvent(k, RoundExchange, from, "failover")
+			nd.serveEvent(nd.failovers, k, RoundExchange, from, "failover")
 		}
 		err := nd.fetchExchange(k, from, to, n, seed, a, dst)
 		if err == nil {
@@ -620,8 +623,7 @@ func (nd *Node) readRemoteSpan(ctx context.Context, slot int, n int64, seed uint
 		case <-hedgeC:
 			hedgeC = nil
 			if launched < len(cands) {
-				nd.hedgedReqs.Add(1)
-				nd.publishServeEvent(cands[launched], RoundServe, slot, "hedge")
+				nd.serveEvent(nd.hedgedReqs, cands[launched], RoundServe, slot, "hedge")
 				launch(true)
 			}
 		case res := <-ch:
@@ -629,8 +631,7 @@ func (nd *Node) readRemoteSpan(ctx context.Context, slot int, n int64, seed uint
 			if res.err == nil {
 				copy(dst, res.buf)
 				if res.hedged {
-					nd.hedgeWins.Add(1)
-					nd.publishServeEvent(res.cand, RoundServe, slot, "hedge_win")
+					nd.serveEvent(nd.hedgeWins, res.cand, RoundServe, slot, "hedge_win")
 				}
 				return nil
 			}
@@ -640,8 +641,7 @@ func (nd *Node) readRemoteSpan(ctx context.Context, slot int, n int64, seed uint
 				return fmt.Errorf("cluster: reading shard slot %d: %w", slot, ctx.Err())
 			}
 			if launched < len(cands) {
-				nd.failovers.Add(1)
-				nd.publishServeEvent(cands[launched], RoundServe, slot, "failover")
+				nd.serveEvent(nd.failovers, cands[launched], RoundServe, slot, "failover")
 				launch(false)
 			} else if pending == 0 {
 				return fmt.Errorf("cluster: no replica of shard slot %d answered: %w", slot, errors.Join(attempts...))
@@ -682,6 +682,11 @@ func (nd *Node) handleStatus(w http.ResponseWriter, r *http.Request) {
 			peerHealth[k] = s.String()
 		}
 	}
+	// The counters are the node's permd_cluster_*_total families.
+	counters := make(map[string]int64)
+	for name, v := range nd.met.Values() {
+		counters[strings.TrimSuffix(strings.TrimPrefix(name, "permd_cluster_"), "_total")] = v
+	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(map[string]any{
 		"node":            nd.cfg.Self,
@@ -694,48 +699,6 @@ func (nd *Node) handleStatus(w http.ResponseWriter, r *http.Request) {
 		"geometry_hash":   nd.Geometry().Hash(),
 		"max_shards":      nd.cfg.MaxShards,
 		"resident_shards": resident,
-		"counters": map[string]int64{
-			"exchange_requests": nd.exchangeReqs.Load(),
-			"exchange_items":    nd.exchangeItems.Load(),
-			"chunk_requests":    nd.chunkReqs.Load(),
-			"chunk_items":       nd.chunkItems.Load(),
-			"proxied_requests":  nd.proxyReqs.Load(),
-			"proxied_items":     nd.proxyItems.Load(),
-			"shard_builds":      nd.shardBuilds.Load(),
-			"shard_build_ns":    nd.shardBuildNs.Load(),
-			"hedged_requests":   nd.hedgedReqs.Load(),
-			"hedge_wins":        nd.hedgeWins.Load(),
-			"failovers":         nd.failovers.Load(),
-			"join_requests":     nd.joinReqs.Load(),
-		},
+		"counters":        counters,
 	})
-}
-
-// WriteMetrics appends the node's counters to a Prometheus text page,
-// in the permd_cluster_* namespace; the service layer calls it from
-// /metrics when cluster mode is on.
-func (nd *Node) WriteMetrics(w io.Writer) {
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("permd_cluster_exchange_requests_total", "Round-2 exchange requests served to peers.", nd.exchangeReqs.Load())
-	counter("permd_cluster_exchange_items_total", "Values shipped to peers in exchange responses.", nd.exchangeItems.Load())
-	counter("permd_cluster_chunk_requests_total", "Shard-local chunk requests served to peers.", nd.chunkReqs.Load())
-	counter("permd_cluster_chunk_items_total", "Values served to peers from local shards.", nd.chunkItems.Load())
-	counter("permd_cluster_proxied_requests_total", "Chunk requests this node sent to owning peers.", nd.proxyReqs.Load())
-	counter("permd_cluster_proxied_items_total", "Values fetched from owning peers.", nd.proxyItems.Load())
-	counter("permd_cluster_shard_builds_total", "Shards assembled through the three exchange rounds.", nd.shardBuilds.Load())
-	counter("permd_cluster_shard_build_ns_total", "Wall nanoseconds spent assembling shards.", nd.shardBuildNs.Load())
-	counter("permd_cluster_hedged_requests_total", "Secondary replica reads fired by the hedge timer.", nd.hedgedReqs.Load())
-	counter("permd_cluster_hedge_wins_total", "Hedged replica reads that answered first.", nd.hedgeWins.Load())
-	counter("permd_cluster_failovers_total", "Replica requests fired because an earlier replica failed.", nd.failovers.Load())
-	counter("permd_cluster_join_requests_total", "Join handshakes served to peers.", nd.joinReqs.Load())
-	fmt.Fprintf(w, "# HELP permd_cluster_peer_health Peer health as observed by this node (0 healthy, 1 suspect, 2 down).\n")
-	fmt.Fprintf(w, "# TYPE permd_cluster_peer_health gauge\n")
-	for k, s := range nd.health.snapshot() {
-		if k == nd.cfg.Self {
-			continue
-		}
-		fmt.Fprintf(w, "permd_cluster_peer_health{peer=\"%d\"} %d\n", k, int(s))
-	}
 }

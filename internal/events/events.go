@@ -275,8 +275,7 @@ type Bus struct {
 	opt Options
 	now func() time.Time // injectable for fixture-stable tests
 
-	published atomic.Int64
-	dropped   atomic.Int64
+	dropped atomic.Int64
 
 	mu   sync.Mutex
 	seq  uint64
@@ -316,7 +315,6 @@ func (b *Bus) Publish(ev Event) uint64 {
 		sub.offer(b, ev)
 	}
 	b.mu.Unlock()
-	b.published.Add(1)
 	return ev.Seq
 }
 
@@ -367,8 +365,9 @@ func (b *Bus) LastSeq() uint64 {
 	return b.seq
 }
 
-// Published returns how many events have been published.
-func (b *Bus) Published() int64 { return b.published.Load() }
+// Published returns how many events have been published: the sequence
+// number of the latest.
+func (b *Bus) Published() int64 { return int64(b.LastSeq()) }
 
 // Dropped returns how many event deliveries were dropped across all
 // subscriptions since the bus was created (the permd_events_dropped_total

@@ -8,6 +8,7 @@ import (
 
 	"randperm"
 	"randperm/internal/events"
+	"randperm/internal/metrics"
 )
 
 // The materialization admission gate: at most Config.MaxBuilds n-word
@@ -135,17 +136,16 @@ func (s *Server) joinBuild(ctx context.Context, e *handleEntry, onAdmit func()) 
 }
 
 // runBuild is the attempt body: acquire a build slot (queueing up to
-// BuildWait), announce the admission to the waiters, run the handle's
-// materialization under the attempt context, release, and publish the
-// result. It runs in its own goroutine so that no single request's
-// lifetime governs the build — only the waiter refcount does.
+// BuildWait), record the admission and announce it to the waiters, run
+// the handle's materialization under the attempt context, release, and
+// publish the result. It runs in its own goroutine so that no single
+// request's lifetime governs the build — only the waiter refcount does.
 func (s *Server) runBuild(a *buildAttempt, e *handleEntry, bctx context.Context) {
 	defer a.cancel()
 	queued, err := s.acquireBuildSlot(bctx)
-	s.publishAdmission(e.key, queued, err)
+	s.admission(e.key, queued, err)
 	if err == nil {
 		close(a.admitted)
-		s.met.admissionBuilds.Add(1)
 		s.met.admissionInflight.Add(1)
 		err = e.pm.MaterializeContext(bctx)
 		s.met.admissionInflight.Add(-1)
@@ -179,41 +179,37 @@ func (s *Server) acquireBuildSlot(ctx context.Context) (queued bool, err error) 
 	case s.buildSem <- struct{}{}:
 		return true, nil
 	case <-t.C:
-		s.met.admissionTimeouts.Add(1)
 		return true, errBuildQueueFull
 	case <-ctx.Done():
 		return true, ctx.Err()
 	}
 }
 
-// publishAdmission reports a build's gate resolution onto the event
-// bus: Detail "admitted" (free slot), "queued" (waited, then got one),
-// "refused" (queue deadline, the 503 path) or "abandoned" (every
-// waiting client disconnected first).
-func (s *Server) publishAdmission(key handleKey, queued bool, err error) {
-	ev := events.New(events.TypeAdmissionQueue)
-	ev.N, ev.Seed, ev.Backend = key.n, key.seed, key.backend.String()
+// admission records a build's gate resolution: one counter and one
+// admission_queue event, whose Detail is "admitted" (free slot),
+// "queued" (waited, then got one), "refused" (queue deadline, the 503
+// path) or "abandoned" (every waiting client disconnected first).
+func (s *Server) admission(key handleKey, queued bool, err error) {
+	ev := keyEvent(events.TypeAdmissionQueue, key)
+	var c *metrics.Value
 	switch {
 	case err == nil && !queued:
-		ev.Detail = "admitted"
+		c, ev.Detail = s.met.admissionBuilds, "admitted"
 	case err == nil:
-		ev.Detail = "queued"
+		c, ev.Detail = s.met.admissionBuilds, "queued"
 	case errors.Is(err, errBuildQueueFull):
-		ev.Detail = "refused"
+		c, ev.Detail = s.met.admissionTimeouts, "refused"
 	default:
 		ev.Detail = "abandoned"
 	}
-	s.bus.Publish(ev)
+	s.publishCounted(c, ev)
 }
 
-// buildWaitRetry is the Retry-After (in whole seconds, >= 1) answered
-// with a 503 queue refusal: the queue deadline itself — by then at
-// least one slot has turned over, or the daemon is genuinely saturated
-// and the operator-facing metrics say so.
-func buildWaitRetry(wait time.Duration) int {
-	secs := int((wait + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
+// retryAfter is a Retry-After in whole seconds, rounded up and at
+// least 1. A 503 queue refusal answers the queue deadline itself: by
+// then at least one slot has turned over, or the daemon is genuinely
+// saturated and the operator-facing metrics say so. A 429 answers the
+// time the client's quota bucket needs to refill.
+func retryAfter(wait time.Duration) int {
+	return max(int((wait+time.Second-1)/time.Second), 1)
 }

@@ -47,27 +47,25 @@ type handleEntry struct {
 type handleCache struct {
 	capacity int
 	build    func(handleKey) (*randperm.Permuter, error)
-	// onEvict, when set, is told about each key dropped by the LRU —
-	// called outside the cache lock, after the eviction took effect.
+	// onEvict is told about each key dropped by the LRU — called outside
+	// the cache lock, after the eviction took effect.
 	onEvict func(handleKey)
 
 	mu      sync.Mutex
 	entries map[handleKey]*list.Element // value: *handleEntry
 	lru     *list.List                  // front = most recently used
-
-	met *metrics
 }
 
-func newHandleCache(capacity int, met *metrics, build func(handleKey) (*randperm.Permuter, error)) *handleCache {
+func newHandleCache(capacity int, build func(handleKey) (*randperm.Permuter, error), onEvict func(handleKey)) *handleCache {
 	if capacity < 1 {
 		capacity = 1
 	}
 	return &handleCache{
 		capacity: capacity,
 		build:    build,
+		onEvict:  onEvict,
 		entries:  make(map[handleKey]*list.Element),
 		lru:      list.New(),
-		met:      met,
 	}
 }
 
@@ -84,26 +82,21 @@ func (c *handleCache) get(key handleKey) (*handleEntry, bool, error) {
 	if el, ok := c.entries[key]; ok {
 		c.lru.MoveToFront(el)
 		e = el.Value.(*handleEntry)
-		c.met.cacheHits.Add(1)
 		hit = true
 	} else {
 		e = &handleEntry{key: key}
 		c.entries[key] = c.lru.PushFront(e)
-		c.met.cacheMisses.Add(1)
 		for c.lru.Len() > c.capacity {
 			oldest := c.lru.Back()
 			c.lru.Remove(oldest)
 			oldKey := oldest.Value.(*handleEntry).key
 			delete(c.entries, oldKey)
-			c.met.cacheEvictions.Add(1)
 			evicted = append(evicted, oldKey)
 		}
 	}
 	c.mu.Unlock()
-	if c.onEvict != nil {
-		for _, k := range evicted {
-			c.onEvict(k)
-		}
+	for _, k := range evicted {
+		c.onEvict(k)
 	}
 
 	e.once.Do(func() {

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -389,5 +390,65 @@ func TestClusterBuildQueueNoPeerReads(t *testing.T) {
 	}
 	if got := proxies[1].Aborted(); got != 1 {
 		t.Errorf("stalled peer reads released by cancellation = %d, want 1", got)
+	}
+}
+
+// TestClusterStatusCounters pins /v1/cluster/status's counters: after
+// a cold pull, each node's page carries exactly the twelve traffic
+// counters, and each equals the matching permd_cluster_*_total sample
+// on that node's /metrics.
+func TestClusterStatusCounters(t *testing.T) {
+	servers := make([]*Server, 2)
+	urls := testkit.Loopback(t, 2, func(k int, peers []string) http.Handler {
+		s, err := New(Config{Procs: 4, ClusterPeers: peers, ClusterNode: k, ClusterHedge: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		servers[k] = s
+		return s
+	})
+	if code, body := httpGet(t, urls[0].URL+"/v1/perm/1/chunk?n=200&len=200&backend=cluster"); code != http.StatusOK {
+		t.Fatalf("cold pull: status %d: %s", code, body)
+	}
+	// A peer's handler counts its items after the response the pull
+	// already read: wait for both nodes' buses to go quiet.
+	for settled := 0; settled < 5; {
+		before := servers[0].bus.Published() + servers[1].bus.Published()
+		time.Sleep(10 * time.Millisecond)
+		if servers[0].bus.Published()+servers[1].bus.Published() == before {
+			settled++
+		} else {
+			settled = 0
+		}
+	}
+	keys := []string{
+		"chunk_items", "chunk_requests", "exchange_items", "exchange_requests",
+		"failovers", "hedge_wins", "hedged_requests", "join_requests",
+		"proxied_items", "proxied_requests", "shard_build_ns", "shard_builds",
+	}
+	for k, u := range urls {
+		_, body := httpGet(t, u.URL+"/v1/cluster/status")
+		var st struct {
+			Counters map[string]int64 `json:"counters"`
+		}
+		if err := json.Unmarshal([]byte(body), &st); err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for key := range st.Counters {
+			got = append(got, key)
+		}
+		slices.Sort(got)
+		if !slices.Equal(got, keys) {
+			t.Errorf("node %d: status counters %v, want %v", k, got, keys)
+		}
+		for _, key := range keys {
+			if want := metricValue(t, servers[k], "permd_cluster_"+key+"_total"); st.Counters[key] != want {
+				t.Errorf("node %d: status %s = %d, /metrics says %d", k, key, st.Counters[key], want)
+			}
+		}
+	}
+	if got := metricValue(t, servers[1], "permd_cluster_chunk_requests_total"); got != 1 {
+		t.Errorf("node 1 served %d chunk requests for one cold pull, want 1", got)
 	}
 }

@@ -45,7 +45,6 @@ import (
 const eventsKeepalive = 15 * time.Second
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	s.met.requests[epEvents].Add(1)
 	filter, err := events.ParseFilter(r.URL.Query().Get("types"))
 	if err != nil {
 		s.httpError(w, http.StatusBadRequest, "bad types filter: %v", err)

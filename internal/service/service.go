@@ -212,7 +212,7 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg        Config
 	defBackend randperm.Backend
-	met        metrics
+	met        instruments
 	bus        *events.Bus // the live-operations spine (events.go)
 	cache      *handleCache
 	quota      *quotas       // nil when Config.Quota is disabled
@@ -265,26 +265,34 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.mux.Handle("/v1/cluster/", s.node.Handler())
 	}
-	s.cache = newHandleCache(cfg.MaxHandles, &s.met, s.buildHandle)
-	s.cache.onEvict = func(key handleKey) {
-		ev := events.New(events.TypeCacheEvict)
-		ev.N, ev.Seed, ev.Backend = key.n, key.seed, key.backend.String()
-		s.bus.Publish(ev)
-	}
+	s.declareMetrics()
+	s.cache = newHandleCache(cfg.MaxHandles, s.buildHandle, func(key handleKey) {
+		s.publishCounted(s.met.cacheEvictions, keyEvent(events.TypeCacheEvict, key))
+	})
 	s.bufs.New = func() any {
 		b := make([]int64, cfg.MaxChunk)
 		return &b
 	}
-	s.mux.HandleFunc("GET /v1/perm/{seed}/chunk", s.handleChunk)
-	s.mux.HandleFunc("GET /v1/perm/{seed}/at", s.handleAt)
-	s.mux.HandleFunc("POST /v1/shuffle", s.handleShuffle)
-	s.mux.HandleFunc("GET /v1/sample", s.handleSample)
-	s.mux.HandleFunc("GET /v1/assign", s.handleAssign)
-	s.mux.HandleFunc("GET /v1/epochs", s.handleEpochs)
-	s.mux.HandleFunc("GET /v1/events", s.handleEvents)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	s.route("GET /v1/perm/{seed}/chunk", "chunk", s.handleChunk)
+	s.route("GET /v1/perm/{seed}/at", "at", s.handleAt)
+	s.route("POST /v1/shuffle", "shuffle", s.handleShuffle)
+	s.route("GET /v1/sample", "sample", s.handleSample)
+	s.route("GET /v1/assign", "assign", s.handleAssign)
+	s.route("GET /v1/epochs", "epochs", s.handleEpochs)
+	s.route("GET /v1/events", "events", s.handleEvents)
+	s.route("GET /healthz", "healthz", s.handleHealthz)
+	s.route("GET /metrics", "metrics", s.handleMetrics)
 	return s, nil
+}
+
+// route mounts h at pattern, counting its requests under the endpoint
+// label of permd_requests_total: the one place each label is named.
+func (s *Server) route(pattern, endpoint string, h http.HandlerFunc) {
+	requests := s.met.requests.With(endpoint)
+	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		h(w, r)
+	})
 }
 
 // EventBus exposes the server's event bus: cmd/permd does not need it,
@@ -292,60 +300,43 @@ func New(cfg Config) (*Server, error) {
 // directly instead of dialing their own SSE stream.
 func (s *Server) EventBus() *events.Bus { return s.bus }
 
-// reqInfo rides each request's context so handlers can report what the
-// request-level event (events.go) should carry — items served, the
-// handle-cache outcome, the resolved permutation identity. Plain fields:
-// only the handling goroutine writes them, and the middleware reads them
-// after the handler returns.
-type reqInfo struct {
-	items   int64
-	cache   string // "hit" / "miss" when a handle was resolved
-	backend string
-	n       int64
-	seed    uint64
+type recordKey struct{}
+
+// recordOf returns the request's record: the request event ServeHTTP
+// publishes once the handler returns. A handler reports on it what it
+// delivered — items served, the handle-cache outcome, the resolved
+// permutation identity. Only the handling goroutine writes it.
+func recordOf(r *http.Request) *events.Event {
+	return r.Context().Value(recordKey{}).(*events.Event)
 }
 
-type reqInfoKey struct{}
-
-// reqInfoOf returns the request's reqInfo, or nil for requests that
-// bypassed the middleware (direct mux use in tests, /v1/events).
-func reqInfoOf(r *http.Request) *reqInfo {
-	ri, _ := r.Context().Value(reqInfoKey{}).(*reqInfo)
-	return ri
-}
-
-// ServeHTTP is the middleware seam: every request except the event
-// stream itself gets timed and reported onto the bus as a request event
-// (plus a slow_request event past Config.Events.SlowThreshold). The
-// cost with no subscribers is one mutex acquisition and one ring write
-// per request — the non-perturbation benchmark pins it.
+// ServeHTTP is the middleware seam: every request gets a record, and
+// every request except the event stream itself is timed and published
+// onto the bus from it as a request event (plus a slow_request event
+// past Config.Events.SlowThreshold), its delivered items counted from
+// it. A request no route matched is counted as an error here. The cost
+// with no subscribers is one mutex acquisition and one ring write per
+// request — the non-perturbation benchmark pins it.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path == "/v1/events" {
-		// The stream is long-lived; a per-request completion event for
-		// it would only ever describe a disconnect.
-		s.mux.ServeHTTP(w, r)
-		return
-	}
-	ri := &reqInfo{}
-	r = r.WithContext(context.WithValue(r.Context(), reqInfoKey{}, ri))
+	rec := events.New(events.TypeRequest)
+	r = r.WithContext(context.WithValue(r.Context(), recordKey{}, &rec))
 	began := time.Now()
 	s.mux.ServeHTTP(w, r)
 	elapsed := time.Since(began)
-
-	ev := events.New(events.TypeRequest)
-	ev.Endpoint = r.URL.Path
-	ev.Ns = elapsed.Nanoseconds()
-	ev.Items = ri.items
-	ev.Cache = ri.cache
-	ev.Backend = ri.backend
-	ev.N = ri.n
-	ev.Seed = ri.seed
-	s.bus.Publish(ev)
+	if r.Pattern == "" {
+		s.met.errors.Add(1) // the mux answered 404 or 405 itself
+	}
+	if r.URL.Path == "/v1/events" {
+		// The stream is long-lived; a per-request completion event for
+		// it would only ever describe a disconnect.
+		return
+	}
+	s.met.items.Add(rec.Items)
+	rec.Endpoint, rec.Ns = r.URL.Path, elapsed.Nanoseconds()
+	s.bus.Publish(rec)
 	if t := s.cfg.Events.SlowThreshold; t > 0 && elapsed >= t {
-		slow := ev
-		slow.Type = events.TypeSlowRequest
-		slow.Client = clientKey(r)
-		s.bus.Publish(slow)
+		rec.Type, rec.Client = events.TypeSlowRequest, clientKey(r)
+		s.bus.Publish(rec)
 	}
 }
 
@@ -369,10 +360,7 @@ func (s *Server) buildHandle(key handleKey) (*randperm.Permuter, error) {
 		return nil, err
 	}
 	pm.OnMaterialize(func() {
-		s.met.materializations.Add(1)
-		ev := events.New(events.TypeMaterialization)
-		ev.N, ev.Seed, ev.Backend = key.n, key.seed, key.backend.String()
-		s.bus.Publish(ev)
+		s.publishCounted(s.met.materializations, keyEvent(events.TypeMaterialization, key))
 	})
 	return pm, nil
 }
@@ -453,17 +441,17 @@ func (s *Server) permuterFor(w http.ResponseWriter, r *http.Request) (e *handleE
 // false.
 func (s *Server) resolve(w http.ResponseWriter, r *http.Request, key handleKey) (*handleEntry, bool) {
 	e, hit, err := s.cache.get(key)
+	outcome, c := "miss", s.met.cacheMisses
+	if hit {
+		outcome, c = "hit", s.met.cacheHits
+	}
+	c.Add(1)
 	if err != nil {
 		s.httpError(w, http.StatusInternalServerError, "building permutation: %v", err)
 		return nil, false
 	}
-	if ri := reqInfoOf(r); ri != nil {
-		ri.n, ri.seed, ri.backend = key.n, key.seed, key.backend.String()
-		ri.cache = "miss"
-		if hit {
-			ri.cache = "hit"
-		}
-	}
+	rec := recordOf(r)
+	rec.N, rec.Seed, rec.Backend, rec.Cache = key.n, key.seed, key.backend.String(), outcome
 	w.Header().Set("Permd-Backend", key.backend.String())
 	return e, true
 }
@@ -508,16 +496,12 @@ func (s *Server) admitItems(w http.ResponseWriter, r *http.Request, cost int64) 
 		s.met.quotaItems.Add(cost)
 		return true
 	}
-	s.met.quotaThrottled.Add(1)
-	secs := int64((retry + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
 	ev := events.New(events.TypeQuotaRefusal)
 	ev.Endpoint, ev.Client, ev.Items = r.URL.Path, clientKey(r), cost
 	ev.Ns = retry.Nanoseconds() // how long the bucket needs to refill
-	s.bus.Publish(ev)
-	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
+	s.publishCounted(s.met.quotaThrottled, ev)
+	secs := retryAfter(retry)
+	w.Header().Set("Retry-After", strconv.Itoa(secs))
 	s.httpError(w, http.StatusTooManyRequests,
 		"quota exhausted for client %q: retry after %ds", clientKey(r), secs)
 	return false
@@ -535,7 +519,7 @@ func (s *Server) admitBuild(w http.ResponseWriter, r *http.Request, e *handleEnt
 	case err == nil:
 		return true
 	case errors.Is(err, errBuildQueueFull):
-		w.Header().Set("Retry-After", strconv.Itoa(buildWaitRetry(s.cfg.BuildWait)))
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfter(s.cfg.BuildWait)))
 		s.httpError(w, http.StatusServiceUnavailable, "all %d build slots busy: %v", s.cfg.MaxBuilds, err)
 		return false
 	case r.Context().Err() != nil:
@@ -553,7 +537,6 @@ func (s *Server) admitBuild(w http.ResponseWriter, r *http.Request, e *handleEnt
 // defaults to min(MaxChunk, n-start) and may exceed MaxChunk, in which
 // case the response streams through the pooled buffer page by page.
 func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
-	s.met.requests[epChunk].Add(1)
 	e, n, backend, ok := s.permuterFor(w, r)
 	if !ok {
 		return
@@ -572,7 +555,7 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 	if !s.admitBuild(w, r, e, nil) {
 		return
 	}
-	s.serveRange(w, r, e.pm, start, length, &s.met.chunk)
+	s.serveRange(w, r, e.pm, start, length, s.met.chunk)
 }
 
 // serveClusterRange serves a backend=cluster range. A cluster read can
@@ -617,15 +600,16 @@ func (s *Server) serveClusterRange(w http.ResponseWriter, r *http.Request, e *ha
 	if dw.write(buf) != nil || dw.flush() != nil {
 		return // client went away
 	}
-	s.countRange(r, length, began, &s.met.chunk)
+	s.countRange(r, length, began, s.met.chunk)
 }
 
 // serveRange writes π(start) .. π(start+length-1) one decimal per line
 // and records the values served and the wall time on stats (and on the
-// request event). It reads through the pooled MaxChunk buffer, so a
-// huge range holds O(MaxChunk) memory. Error responses — a 500 before
-// the first byte, truncation after — are handled here.
-func (s *Server) serveRange(w http.ResponseWriter, r *http.Request, pm *randperm.Permuter, start, length int64, stats *rangeStats) {
+// request record), reporting whether the whole range was delivered. It
+// reads through the pooled MaxChunk buffer, so a huge range holds
+// O(MaxChunk) memory. Error responses — a 500 before the first byte,
+// truncation after — are handled here.
+func (s *Server) serveRange(w http.ResponseWriter, r *http.Request, pm *randperm.Permuter, start, length int64, stats rangeStats) bool {
 	began := time.Now()
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	bufp := s.bufs.Get().(*[]int64)
@@ -638,7 +622,7 @@ func (s *Server) serveRange(w http.ResponseWriter, r *http.Request, pm *randperm
 			// Client gone mid-stream: stop paging instead of formatting
 			// values nobody will read.
 			s.met.errors.Add(1)
-			return
+			return false
 		}
 		page := buf[:min(length-served, int64(len(buf)))]
 		m, err := pm.Chunk(page, start+served)
@@ -647,34 +631,31 @@ func (s *Server) serveRange(w http.ResponseWriter, r *http.Request, pm *randperm
 				// Nothing flushed yet: a real error response is still
 				// possible.
 				s.httpError(w, http.StatusInternalServerError, "reading chunk: %v", err)
-				return
+				return false
 			}
 			// Mid-stream the headers are gone; all we can do is
 			// truncate the stream.
 			s.met.errors.Add(1)
-			return
+			return false
 		}
 		if dw.write(page[:m]) != nil {
-			return // client went away
+			return false // client went away
 		}
 		served += int64(m)
 	}
 	if dw.flush() != nil {
-		return
+		return false
 	}
 	s.countRange(r, served, began, stats)
+	return true
 }
 
 // countRange records a delivered range of served values, read and
-// written since began, on the items metric, on stats and on the request
-// event.
-func (s *Server) countRange(r *http.Request, served int64, began time.Time, stats *rangeStats) {
-	s.met.items.Add(served)
+// written since began, on the request record and on stats.
+func (s *Server) countRange(r *http.Request, served int64, began time.Time, stats rangeStats) {
+	recordOf(r).Items = served
 	stats.items.Add(served)
 	stats.ns.Add(time.Since(began).Nanoseconds())
-	if ri := reqInfoOf(r); ri != nil {
-		ri.items = served
-	}
 }
 
 // maxDecimalLine is the room decimalWriter keeps free for one line: a
@@ -814,7 +795,6 @@ func (d *decimalWriter) flush() error {
 // uniformity) is the backend choice itself, not something the service
 // layer can paper over.
 func (s *Server) handleAt(w http.ResponseWriter, r *http.Request) {
-	s.met.requests[epAt].Add(1)
 	e, n, _, ok := s.permuterFor(w, r)
 	if !ok {
 		return
@@ -847,10 +827,7 @@ func (s *Server) handleAt(w http.ResponseWriter, r *http.Request) {
 	if dw := newDecimalWriter(w, line[:]); dw.write(one[:]) != nil || dw.flush() != nil {
 		return // client went away
 	}
-	s.met.items.Add(1)
-	if ri := reqInfoOf(r); ri != nil {
-		ri.items = 1
-	}
+	recordOf(r).Items = 1
 }
 
 // handleShuffle serves POST /v1/shuffle?seed=&backend=: the request body
@@ -860,7 +837,6 @@ func (s *Server) handleAt(w http.ResponseWriter, r *http.Request) {
 // false is refused with 400 rather than silently served from the
 // bijective keyed family.
 func (s *Server) handleShuffle(w http.ResponseWriter, r *http.Request) {
-	s.met.requests[epShuffle].Add(1)
 	q := r.URL.Query()
 	seed, err := querySeed(q)
 	if err != nil {
@@ -933,10 +909,7 @@ func (s *Server) handleShuffle(w http.ResponseWriter, r *http.Request) {
 		if err := json.NewEncoder(w).Encode(out); err != nil {
 			return
 		}
-		s.met.items.Add(int64(len(out)))
-		if ri := reqInfoOf(r); ri != nil {
-			ri.items = int64(len(out))
-		}
+		recordOf(r).Items = int64(len(out))
 		return
 	}
 	out, _, err := randperm.ParallelShuffle(items, opt)
@@ -954,10 +927,7 @@ func (s *Server) handleShuffle(w http.ResponseWriter, r *http.Request) {
 	if bw.Flush() != nil {
 		return // client went away
 	}
-	s.met.items.Add(int64(len(out)))
-	if ri := reqInfoOf(r); ri != nil {
-		ri.items = int64(len(out))
-	}
+	recordOf(r).Items = int64(len(out))
 }
 
 // handleSample serves GET /v1/sample?n=&k=&seed= — a uniformly random
@@ -965,7 +935,6 @@ func (s *Server) handleShuffle(w http.ResponseWriter, r *http.Request) {
 // drawn by ParallelSample on the simulated machine (always exactly
 // uniform; there is no backend parameter to gate).
 func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
-	s.met.requests[epSample].Add(1)
 	q := r.URL.Query()
 	n, err := queryInt64(q, "n", -1)
 	if err != nil {
@@ -1010,17 +979,13 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 	if dw := newDecimalWriter(w, make([]byte, 0, 1<<15)); dw.write(sample) != nil || dw.flush() != nil {
 		return // client went away
 	}
-	s.met.items.Add(int64(len(sample)))
-	if ri := reqInfoOf(r); ri != nil {
-		ri.items = int64(len(sample))
-	}
+	recordOf(r).Items = int64(len(sample))
 }
 
 // handleHealthz serves a JSON liveness probe that doubles as a config
 // echo, so an operator (or a replica checking compatibility) can read
 // the pinned decomposition width the determinism contract depends on.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.met.requests[epHealthz].Add(1)
 	w.Header().Set("Content-Type", "application/json")
 	body := map[string]any{
 		"status":          "ok",
@@ -1067,24 +1032,9 @@ func (s *Server) JoinCluster(ctx context.Context) error {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.met.requests[epMetrics].Add(1)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.met.write(w)
-	fmt.Fprintf(w, "# HELP permd_events_published_total Events published onto the internal bus.\n")
-	fmt.Fprintf(w, "# TYPE permd_events_published_total counter\n")
-	fmt.Fprintf(w, "permd_events_published_total %d\n", s.bus.Published())
-	fmt.Fprintf(w, "# HELP permd_events_dropped_total Event deliveries dropped because a subscriber's buffer was full.\n")
-	fmt.Fprintf(w, "# TYPE permd_events_dropped_total counter\n")
-	fmt.Fprintf(w, "permd_events_dropped_total %d\n", s.bus.Dropped())
-	fmt.Fprintf(w, "# HELP permd_events_subscribers Live /v1/events subscriptions.\n")
-	fmt.Fprintf(w, "# TYPE permd_events_subscribers gauge\n")
-	fmt.Fprintf(w, "permd_events_subscribers %d\n", s.bus.Subscribers())
-	if s.quota != nil {
-		fmt.Fprintf(w, "# HELP permd_quota_clients Client quota buckets currently tracked.\n")
-		fmt.Fprintf(w, "# TYPE permd_quota_clients gauge\n")
-		fmt.Fprintf(w, "permd_quota_clients %d\n", s.quota.len())
-	}
+	s.met.reg.Write(w)
 	if s.node != nil {
-		s.node.WriteMetrics(w)
+		s.node.Metrics().Write(w)
 	}
 }

@@ -240,9 +240,10 @@ func (f *failingWriter) WriteHeader(int)           {}
 
 // TestWriteFailureNotCounted: a response that never reaches the client
 // counts nothing served — not in the items metric, not in the
-// endpoint's own counter (/v1/assign's lookups), not on the request
-// event — on /v1/shuffle in both body formats and on /v1/assign, the
-// rule every serving handler follows.
+// endpoint's own counters (/v1/assign's lookups, /v1/epochs' recycled
+// requests), not on the request event — on every serving endpoint:
+// /v1/shuffle in both body formats, /v1/assign, chunk, at, /v1/sample
+// and a recycled-mode /v1/epochs.
 func TestWriteFailureNotCounted(t *testing.T) {
 	s := newTestServer(t, Config{})
 	sub, err := s.bus.Subscribe(events.All(), s.bus.LastSeq())
@@ -254,6 +255,10 @@ func TestWriteFailureNotCounted(t *testing.T) {
 		{"shuffle text", "POST", "/v1/shuffle?seed=11", "text/plain", "alpha\nbravo\ncharlie\n"},
 		{"shuffle json", "POST", "/v1/shuffle?seed=11", "application/json", `["alpha","bravo","charlie"]`},
 		{"assign", "GET", "/v1/assign?seed=11&n=1000&id=7&spec=control:1,treat:1", "", ""},
+		{"chunk", "GET", "/v1/perm/11/chunk?n=1000&len=100", "", ""},
+		{"at", "GET", "/v1/perm/11/at?n=1000&i=7", "", ""},
+		{"sample", "GET", "/v1/sample?n=100&k=10&seed=11", "", ""},
+		{"epochs recycled", "GET", "/v1/epochs?seed=11&n=1000&epoch=2&mode=recycled&len=100", "", ""},
 	} {
 		req := httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body))
 		if tc.contentType != "" {
@@ -265,6 +270,9 @@ func TestWriteFailureNotCounted(t *testing.T) {
 		}
 		if got := s.met.assignLookups.Load(); got != 0 {
 			t.Errorf("%s: assign lookups metric counts %d undelivered lookups", tc.name, got)
+		}
+		if got := s.met.epochRecycled.Load(); got != 0 {
+			t.Errorf("%s: recycled epochs metric counts %d undelivered requests", tc.name, got)
 		}
 		ev := <-sub.Events()
 		if ev.Type != events.TypeRequest || ev.Items != 0 {
@@ -445,6 +453,88 @@ func TestMetrics(t *testing.T) {
 	}
 }
 
+// TestErrorsCounted: permd_request_errors_total counts every 4xx/5xx
+// answer exactly once, including the 404 and 405 answers of requests no
+// route matched, which never reach a handler.
+func TestErrorsCounted(t *testing.T) {
+	s := newTestServer(t, Config{})
+	for _, tc := range []struct {
+		method, path string
+		code         int
+		errors       int64
+	}{
+		{"GET", "/nope", http.StatusNotFound, 1},
+		{"POST", "/v1/perm/1/chunk?n=10", http.StatusMethodNotAllowed, 1},
+		{"GET", "/v1/shuffle", http.StatusMethodNotAllowed, 1},
+		{"GET", "/v1/perm/1/chunk?n=-1", http.StatusBadRequest, 1},
+		{"GET", "/v1/perm/1/chunk?n=10", http.StatusOK, 0},
+		{"GET", "/healthz", http.StatusOK, 0},
+	} {
+		before := s.met.errors.Load()
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, nil))
+		if rec.Code != tc.code {
+			t.Errorf("%s %s: status %d, want %d", tc.method, tc.path, rec.Code, tc.code)
+		}
+		if got := s.met.errors.Load() - before; got != tc.errors {
+			t.Errorf("%s %s: counted %d errors, want %d", tc.method, tc.path, got, tc.errors)
+		}
+	}
+}
+
+// TestMetricsExposition pins what the /metrics goldens cannot show,
+// since their fixed request mix only produces small values: integer
+// samples print as digits however large, the two ratio gauges print
+// with %g, labeled samples print in a fixed order, and a family
+// declared only under a condition is absent without it.
+func TestMetricsExposition(t *testing.T) {
+	quota := QuotaConfig{Default: QuotaSpec{Rate: 1, Burst: 1}}
+	for _, tc := range []struct {
+		name          string
+		cfg           Config
+		record        func(m *instruments)
+		want, missing []string
+	}{
+		{"integer counter", Config{}, func(m *instruments) { m.items.Add(2_000_000) },
+			[]string{"\npermd_items_total 2000000\n"}, nil},
+		{"integer gauge", Config{}, func(m *instruments) { m.admissionInflight.Add(1_000_000) },
+			[]string{"\npermd_admission_builds_inflight 1000000\n"}, nil},
+		{"hit rate ratio", Config{}, func(m *instruments) { m.cacheHits.Add(1); m.cacheMisses.Add(2) },
+			[]string{"\npermd_handle_cache_hit_rate 0.3333333333333333\n"}, nil},
+		{"ns per item ratio", Config{}, func(m *instruments) { m.chunk.ns.Add(3_000_000); m.chunk.items.Add(1) },
+			[]string{"\npermd_chunk_ns_per_item 3e+06\n"}, nil},
+		{"label order", Config{}, func(m *instruments) { m.requests.With("shuffle").Add(1_000_000) },
+			[]string{`
+permd_requests_total{endpoint="assign"} 0
+permd_requests_total{endpoint="at"} 0
+permd_requests_total{endpoint="chunk"} 0
+permd_requests_total{endpoint="epochs"} 0
+permd_requests_total{endpoint="events"} 0
+permd_requests_total{endpoint="healthz"} 0
+permd_requests_total{endpoint="metrics"} 1
+permd_requests_total{endpoint="sample"} 0
+permd_requests_total{endpoint="shuffle"} 1000000
+`}, nil},
+		{"quota off", Config{}, func(*instruments) {}, nil, []string{"permd_quota_clients"}},
+		{"quota on", Config{Quota: quota}, func(*instruments) {},
+			[]string{"\n# TYPE permd_quota_clients gauge\npermd_quota_clients 0\n"}, nil},
+	} {
+		s := newTestServer(t, tc.cfg)
+		tc.record(&s.met)
+		_, body := get(t, s, "/metrics")
+		for _, want := range tc.want {
+			if !strings.Contains(body, want) {
+				t.Errorf("%s: /metrics lacks %q:\n%s", tc.name, want, body)
+			}
+		}
+		for _, name := range tc.missing {
+			if strings.Contains(body, name) {
+				t.Errorf("%s: /metrics carries %s:\n%s", tc.name, name, body)
+			}
+		}
+	}
+}
+
 // TestConcurrentSameKey is the acceptance test: 1000 concurrent requests
 // for one cached handle on a materializing backend must all serve the
 // identical bytes while triggering exactly one handle construction and
@@ -523,15 +613,14 @@ func TestCacheEviction(t *testing.T) {
 // TestCacheErrorNotCached: a failed construction must not poison the
 // key; the next request retries and can succeed.
 func TestCacheErrorNotCached(t *testing.T) {
-	var met metrics
 	calls := 0
-	c := newHandleCache(4, &met, func(k handleKey) (*randperm.Permuter, error) {
+	c := newHandleCache(4, func(k handleKey) (*randperm.Permuter, error) {
 		calls++
 		if calls == 1 {
 			return nil, errors.New("transient")
 		}
 		return randperm.NewPermuter(k.n, randperm.Options{Seed: k.seed, Backend: k.backend})
-	})
+	}, func(handleKey) {})
 	key := handleKey{n: 10, seed: 1, backend: randperm.BackendBijective}
 	if _, _, err := c.get(key); err == nil {
 		t.Fatal("want error from first build")

@@ -84,7 +84,6 @@ func (s *Server) requireBijective(w http.ResponseWriter, q url.Values, endpoint 
 // /v1/perm). The response body is the bucket name; the Permd-Bucket
 // header carries its index in the spec.
 func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
-	s.met.requests[epAssign].Add(1)
 	q := r.URL.Query()
 	seed, err := querySeed(q)
 	if err != nil {
@@ -136,10 +135,7 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 		return // client went away: nothing was delivered, nothing counted
 	}
 	s.met.assignLookups.Add(1)
-	s.met.items.Add(1)
-	if ri := reqInfoOf(r); ri != nil {
-		ri.items = 1
-	}
+	recordOf(r).Items = 1
 }
 
 // handleEpochs serves GET /v1/epochs?seed=&n=&epoch=&mode=&start=&len= —
@@ -152,7 +148,6 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 // The derived key is echoed in the Permd-Epoch-Key header, which is
 // how CI cross-checks the served bytes against the library.
 func (s *Server) handleEpochs(w http.ResponseWriter, r *http.Request) {
-	s.met.requests[epEpochs].Add(1)
 	q := r.URL.Query()
 	seed, err := querySeed(q)
 	if err != nil {
@@ -197,10 +192,9 @@ func (s *Server) handleEpochs(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if mode == workload.EpochRecycled {
-		s.met.epochRecycled.Add(1)
-	}
 	w.Header().Set("Permd-Epoch-Key", strconv.FormatUint(key, 10))
 	w.Header().Set("Permd-Epoch-Mode", mode.String())
-	s.serveRange(w, r, e.pm, start, length, &s.met.epochs)
+	if s.serveRange(w, r, e.pm, start, length, s.met.epochs) && mode == workload.EpochRecycled {
+		s.met.epochRecycled.Add(1)
+	}
 }
