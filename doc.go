@@ -79,13 +79,11 @@
 // with a single-flight LRU of Permuter handles, streamed chunk
 // responses and Prometheus metrics — deployable standalone or as an
 // N-node cluster in which each daemon owns one shard of the permuted
-// domain and serves the rest by routing (internal/cluster). Every
-// Permuter reads through one ChunkSource — the keyed bijection, the
-// lazily built buffer of a materializing backend, or, via
-// NewPermuterSource, an externally backed permutation such as a
-// cluster shard set — so all of them ride the same streaming API. The
-// Materialize, Materialized and OnMaterialize methods on Permuter
-// expose the one re-armable build to such handle-reusing callers. See
+// domain and serves the rest by routing (internal/cluster). A
+// Permuter reads either from the keyed bijection or from the lazily
+// built buffer of a materializing backend; the Materialize,
+// Materialized and OnMaterialize methods expose that one re-armable
+// build to handle-reusing callers such as the daemon's cache. See
 // the service layer and cluster layer
 // sections of ARCHITECTURE.md, the operator guide in README.md, and
 // the deployment runbook in OPERATIONS.md.

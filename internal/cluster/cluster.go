@@ -93,9 +93,6 @@ type Config struct {
 	// fail-stop mode: any dead peer errors reads that need it. R >= 2
 	// survives R-1 dead peers per slot with no byte ever changing.
 	Replicas int
-	// Workers caps this node's local pool goroutines (<= 0 means
-	// GOMAXPROCS). Purely local: it cannot affect any byte served.
-	Workers int
 	// MaxShards caps the node's shard cache (default 8 * Replicas, so
 	// the default working set scales with replica duty). Each resident
 	// shard for a size-n domain holds about 8n/len(Peers) bytes.
@@ -114,13 +111,6 @@ type Config struct {
 	// (reads still fail over on error). Tuning guidance lives in
 	// OPERATIONS.md.
 	HedgeAfter time.Duration
-	// ProbeSick is how long a peer marked down by first-hand failures
-	// is skipped by routing before it is probed again (default 2 s). A
-	// rejoining peer clears its sick mark immediately via the join
-	// handshake instead of waiting this out.
-	ProbeSick time.Duration
-	// Client performs the peer requests (default: 60 s timeout).
-	Client *http.Client
 	// Events, when non-nil, receives the node's operational events:
 	// cluster_round per completed build round, hedge/failover outcomes
 	// on routed reads, peer_health_change transitions and join_result
@@ -179,17 +169,10 @@ func New(cfg Config) (*Node, error) {
 	if cfg.HedgeAfter == 0 {
 		cfg.HedgeAfter = 50 * time.Millisecond
 	}
-	if cfg.ProbeSick <= 0 {
-		cfg.ProbeSick = 2 * time.Second
-	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Timeout: 60 * time.Second}
-	}
 	nd := &Node{
 		cfg:    cfg,
-		client: client,
-		health: newHealth(len(cfg.Peers), cfg.ProbeSick),
+		client: &http.Client{Timeout: 60 * time.Second},
+		health: newHealth(len(cfg.Peers)),
 		shards: make(map[shardKey]*list.Element),
 		lru:    list.New(),
 	}
@@ -546,7 +529,7 @@ func (nd *Node) buildShard(slot int, n int64, seed uint64) (*Shard, error) {
 	// Round 3: arrange every owned target block in place from its own
 	// stream, on the engine's worker pool.
 	began = time.Now()
-	pool := engine.NewPool(min(nd.workers(), bhi-blo), seed)
+	pool := engine.NewPool(min(runtime.GOMAXPROCS(0), bhi-blo), seed)
 	defer pool.Close()
 	if err := pool.For(bhi-blo, func(jj int) {
 		j := blo + jj
@@ -557,11 +540,4 @@ func (nd *Node) buildShard(slot int, n int64, seed uint64) (*Shard, error) {
 	}
 	nd.publishRound(slot, 3, n, seed, time.Since(began), "arrange")
 	return &Shard{Start: start, End: end, Vals: vals}, nil
-}
-
-func (nd *Node) workers() int {
-	if nd.cfg.Workers > 0 {
-		return nd.cfg.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }

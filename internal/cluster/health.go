@@ -50,10 +50,15 @@ func (s peerState) String() string {
 // take a peer from healthy to down.
 const failThreshold = 2
 
+// probeSick is how long a peer marked down by first-hand failures is
+// skipped by routing before it is probed again. A rejoining peer clears
+// its sick mark immediately via the join handshake instead of waiting
+// this out.
+const probeSick = 2 * time.Second
+
 // health is one node's view of its peers. All methods are safe for
 // concurrent use.
 type health struct {
-	probeSick time.Duration // how long a down peer is skipped before it is probed again
 	// onChange, when set, is told about every state transition (from,
 	// to) of a peer — the cluster node wires it to the event bus. It is
 	// called with h.mu held, so it must not call back into this tracker
@@ -66,12 +71,11 @@ type health struct {
 	since []time.Time // last state change
 }
 
-func newHealth(peers int, probeSick time.Duration) *health {
+func newHealth(peers int) *health {
 	return &health{
-		probeSick: probeSick,
-		state:     make([]peerState, peers),
-		fails:     make([]int, peers),
-		since:     make([]time.Time, peers),
+		state: make([]peerState, peers),
+		fails: make([]int, peers),
+		since: make([]time.Time, peers),
 	}
 }
 
@@ -139,7 +143,7 @@ func (h *health) rank(cands []int) []int {
 		case stateSuspect:
 			return 1
 		default:
-			if time.Since(h.since[k]) >= h.probeSick {
+			if time.Since(h.since[k]) >= probeSick {
 				return 2
 			}
 			return 3

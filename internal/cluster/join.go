@@ -33,14 +33,14 @@ func (nd *Node) publishJoin(peer int, detail, state string) {
 // handshake exchanges a hash of that geometry; a match admits the
 // node and clears any sick mark its peers held against it (this is how
 // a restarted node returns to the routing order immediately instead of
-// waiting out ProbeSick), a mismatch is a hard 409 that the caller
+// waiting out probeSick), a mismatch is a hard 409 that the caller
 // must treat as fatal. Shards then rebuild lazily from the streams on
 // first touch, exactly like a cold start.
 
 // Geometry is the layout every node must agree on for the cluster to
 // serve one consistent permutation space. It deliberately excludes
-// anything per-request (seed, n) and anything node-local (Workers,
-// cache sizes, hedging): those either version the permutation itself
+// anything per-request (seed, n) and anything node-local (cache
+// sizes, hedging): those either version the permutation itself
 // or cannot affect any byte served.
 type Geometry struct {
 	Procs    int      `json:"procs"`

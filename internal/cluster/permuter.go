@@ -8,10 +8,10 @@ import (
 
 // Permuter is a handle on the cluster permutation of (seed, n): the
 // same bytes engine.PermuteSliceCGM computes in one process, served
-// shard by shard across the cluster. It implements the randperm
-// ChunkSource contract, so the public streaming API (and the permd
-// chunk endpoint behind it) can sit directly on top: a Chunk request is
-// split at shard-slot boundaries, spans of slots this node replicates
+// shard by shard across the cluster. It is the handle the permd
+// service caches for backend=cluster, and its Chunk follows the
+// randperm.Permuter.Chunk contract: a Chunk request is split at
+// shard-slot boundaries, spans of slots this node replicates
 // are copied from local shards, and every remote span is read from the
 // slot's replica set — health-ranked, hedged after the latency budget,
 // failing over on error. Routing happens exactly once — peers only
@@ -24,7 +24,8 @@ type Permuter struct {
 
 // Permuter returns a handle on the (seed, n) cluster permutation. The
 // call is free; local shards are assembled lazily on first access (or
-// eagerly via Materialize), and remote spans are fetched per request.
+// eagerly via MaterializeContext), and remote spans are fetched per
+// request.
 func (nd *Node) Permuter(n int64, seed uint64) *Permuter {
 	return &Permuter{nd: nd, n: n, seed: seed}
 }
@@ -163,13 +164,14 @@ func (rd *Read) Abandon() {
 	rd.wg.Wait()
 }
 
-// Materialize assembles every shard this node replicates now (running
-// the exchange rounds with the needed peers) instead of on first
-// access, and reports the first error. With Replicas = R that is R
-// shards — a warm replica can serve any slot it owns the moment its
+// MaterializeContext assembles every shard this node replicates now
+// (running the exchange rounds with the needed peers) instead of on
+// first access, and reports the first error. With Replicas = R that is
+// R shards — a warm replica can serve any slot it owns the moment its
 // primary dies. Remote slots outside this node's duty are their
-// owners' to build.
-func (p *Permuter) Materialize() error {
+// owners' to build. A shard build is shared by every reader of the
+// shard, so ctx does not cancel it.
+func (p *Permuter) MaterializeContext(context.Context) error {
 	if p.n == 0 {
 		return nil
 	}
@@ -182,8 +184,12 @@ func (p *Permuter) Materialize() error {
 }
 
 // Materialized reports whether every shard this node replicates is
-// resident for this permutation.
+// resident for this permutation. The empty domain has nothing to
+// build, so it is always materialized.
 func (p *Permuter) Materialized() bool {
+	if p.n == 0 {
+		return true
+	}
 	for _, slot := range p.nd.duties(p.nd.cfg.Self) {
 		if !p.nd.shardResident(slot, p.n, p.seed) {
 			return false

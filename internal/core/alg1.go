@@ -1,7 +1,6 @@
 package core
 
 import (
-	"randperm/internal/engine"
 	"randperm/internal/pro"
 	"randperm/internal/xrand"
 )
@@ -26,26 +25,14 @@ type Config struct {
 func Permute[T any](in [][]T, outSizes []int64, cfg Config) ([][]T, *pro.Machine, error) {
 	p := len(in)
 	m := pro.NewMachine(p)
-	out, err := PermuteOn(m.Engine(), in, outSizes, cfg)
-	return out, m, err
-}
-
-// PermuteOn is Permute on a caller-provided engine, so the algorithm is
-// written once against the engine.Worker interface and runs on any SPMD
-// backend: the simulated machine (pro.(*Machine).Engine(), which keeps
-// the cost accounting and can accumulate it across repeated shuffles) or
-// any other implementation. The engine must have exactly len(in)
-// workers.
-func PermuteOn[T any](eng engine.Engine, in [][]T, outSizes []int64, cfg Config) ([][]T, error) {
-	p := eng.P()
 	rowM := BlockSizes(in)
 	if err := checkPermuteArgs(p, rowM, outSizes); err != nil {
-		return nil, err
+		return nil, m, err
 	}
 	streams := xrand.NewStreams(cfg.Seed, p)
 	out := make([][]T, p)
 
-	err := eng.Run(func(pr engine.Worker) {
+	err := m.Run(func(pr *pro.Proc) {
 		rank := pr.Rank()
 		cnt := xrand.NewCounting(streams[rank])
 		charge := func() {
@@ -93,9 +80,9 @@ func PermuteOn[T any](eng engine.Engine, in [][]T, outSizes []int64, cfg Config)
 		out[rank] = buf
 	})
 	if err != nil {
-		return nil, err
+		return nil, m, err
 	}
-	return out, nil
+	return out, m, nil
 }
 
 // PermuteSlice is the convenience form of Permute for a single flat

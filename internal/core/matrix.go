@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"randperm/internal/commat"
-	"randperm/internal/engine"
 	"randperm/internal/mhyper"
 	"randperm/internal/pro"
 	"randperm/internal/xrand"
@@ -63,7 +62,7 @@ func ParseMatrixAlg(s string) (MatrixAlg, error) {
 //
 // rowM must have length P (one source block per processor); colM may have
 // any length (the number of target blocks p').
-func SampleRow(pr engine.Worker, rng xrand.Source, rowM, colM []int64, alg MatrixAlg) []int64 {
+func SampleRow(pr *pro.Proc, rng xrand.Source, rowM, colM []int64, alg MatrixAlg) []int64 {
 	switch alg {
 	case MatrixSeq:
 		return sampleRowSeq(pr, rng, rowM, colM)
@@ -77,7 +76,7 @@ func SampleRow(pr engine.Worker, rng xrand.Source, rowM, colM []int64, alg Matri
 }
 
 // sampleRowSeq concentrates Algorithm 3 at processor 0 and scatters rows.
-func sampleRowSeq(pr engine.Worker, rng xrand.Source, rowM, colM []int64) []int64 {
+func sampleRowSeq(pr *pro.Proc, rng xrand.Source, rowM, colM []int64) []int64 {
 	if pr.Rank() == 0 {
 		m := commat.SampleSeq(rng, rowM, colM)
 		pr.AddOps(int64(len(rowM) * len(colM)))
@@ -96,7 +95,7 @@ func sampleRowSeq(pr engine.Worker, rng xrand.Source, rowM, colM []int64) []int6
 // hypergeometric split for the upper half and ships it to the upper
 // half's new head P_q. After log p rounds every range is a single
 // processor and beta is its matrix row.
-func sampleRowLog(pr engine.Worker, rng xrand.Source, rowM, colM []int64) []int64 {
+func sampleRowLog(pr *pro.Proc, rng xrand.Source, rowM, colM []int64) []int64 {
 	rank := pr.Rank()
 	var beta []int64
 	if rank == 0 {
@@ -147,7 +146,7 @@ func (r rowSeg) SizeBytes() int { return 8 + 8*len(r.vals) }
 // owns the margins of a disjoint submatrix with O(p) entries (equation 9
 // of the paper), samples it sequentially with Algorithm 3, and the rows
 // are redistributed so processor i ends with global row i.
-func sampleRowOpt(pr engine.Worker, rng xrand.Source, rowM, colM []int64) []int64 {
+func sampleRowOpt(pr *pro.Proc, rng xrand.Source, rowM, colM []int64) []int64 {
 	rank, p := pr.Rank(), pr.P()
 	pp := len(colM)
 

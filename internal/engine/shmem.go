@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"math/bits"
 	"runtime"
 
@@ -87,25 +86,14 @@ func PermuteSlice[T any](data []T, chunks int, opt Options) ([]T, error) {
 // permute is the shared implementation: it returns both the flat backing
 // slice and its partition into target blocks.
 func permute[T any](in [][]T, outSizes []int64, opt Options) ([]T, [][]T, error) {
-	p, pp := len(in), len(outSizes)
-	if p == 0 {
-		return nil, nil, fmt.Errorf("engine: need at least one input block")
+	n, err := blockTotals(in, outSizes)
+	if err != nil {
+		return nil, nil, err
 	}
+	p, pp := len(in), len(outSizes)
 	rowM := make([]int64, p)
-	var n int64
 	for i, b := range in {
 		rowM[i] = int64(len(b))
-		n += rowM[i]
-	}
-	var outN int64
-	for _, s := range outSizes {
-		if s < 0 {
-			return nil, nil, fmt.Errorf("engine: negative target block size %d", s)
-		}
-		outN += s
-	}
-	if n != outN {
-		return nil, nil, fmt.Errorf("engine: source total %d != target total %d", n, outN)
 	}
 
 	// Stream 0 samples the matrix; streams 1..p route the source

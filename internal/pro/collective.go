@@ -2,20 +2,16 @@ package pro
 
 import (
 	"fmt"
-
-	"randperm/internal/engine"
 )
 
 // The collectives below are the standard coarse-grained building blocks
 // (one superstep each in BSP terms). They are free functions rather than
-// methods so they can be generic over the payload type, and they take
-// the engine.Worker interface so they run on any message-passing
-// backend, not just *Proc.
+// methods so they can be generic over the payload type.
 
 // Bcast distributes v from the root processor to all processors and
 // returns the broadcast value on every processor. Non-root callers pass
 // the zero value.
-func Bcast[T any](p engine.Worker, root int, v T) T {
+func Bcast[T any](p *Proc, root int, v T) T {
 	if p.Rank() == root {
 		for dst := 0; dst < p.P(); dst++ {
 			if dst != root {
@@ -29,7 +25,7 @@ func Bcast[T any](p engine.Worker, root int, v T) T {
 
 // Gather collects one value from every processor at the root. On the root
 // it returns a slice indexed by rank; elsewhere it returns nil.
-func Gather[T any](p engine.Worker, root int, v T) []T {
+func Gather[T any](p *Proc, root int, v T) []T {
 	if p.Rank() != root {
 		p.Send(root, v)
 		return nil
@@ -47,7 +43,7 @@ func Gather[T any](p engine.Worker, root int, v T) []T {
 // Scatter distributes vals[rank] from the root to each processor and
 // returns the local element. Only the root's vals is consulted; it must
 // have length P.
-func Scatter[T any](p engine.Worker, root int, vals []T) T {
+func Scatter[T any](p *Proc, root int, vals []T) T {
 	if p.Rank() == root {
 		if len(vals) != p.P() {
 			panic(fmt.Sprintf("pro: Scatter with %d values on machine of %d", len(vals), p.P()))
@@ -66,7 +62,7 @@ func Scatter[T any](p engine.Worker, root int, vals []T) T {
 // processor j, and the returned slice holds in[i] = the value processor i
 // sent here. This is exactly one h-relation of the BSP model; Algorithm
 // 1's data exchange is an AllToAll of item slices.
-func AllToAll[T any](p engine.Worker, out []T) []T {
+func AllToAll[T any](p *Proc, out []T) []T {
 	if len(out) != p.P() {
 		panic(fmt.Sprintf("pro: AllToAll with %d values on machine of %d", len(out), p.P()))
 	}
@@ -81,7 +77,7 @@ func AllToAll[T any](p engine.Worker, out []T) []T {
 }
 
 // AllGather collects one value from every processor on every processor.
-func AllGather[T any](p engine.Worker, v T) []T {
+func AllGather[T any](p *Proc, v T) []T {
 	out := make([]T, p.P())
 	for i := range out {
 		out[i] = v
@@ -91,7 +87,7 @@ func AllGather[T any](p engine.Worker, v T) []T {
 
 // recvAs receives from src and type-asserts the payload, converting a
 // protocol mismatch into a descriptive panic.
-func recvAs[T any](p engine.Worker, src int) T {
+func recvAs[T any](p *Proc, src int) T {
 	raw := p.Recv(src)
 	v, ok := raw.(T)
 	if !ok {

@@ -32,22 +32,11 @@ type Machine struct {
 	inboxes  []*mailbox
 	barrier  *barrier
 	costs    []*Cost
-	sizeOf   func(any) int
 	maxSuper int // high-water mark of superstep counters
 }
 
-// Option configures a Machine.
-type Option func(*Machine)
-
-// WithSizer replaces the default message sizer used for byte accounting.
-// The sizer receives every payload given to Send and returns its size in
-// bytes.
-func WithSizer(f func(any) int) Option {
-	return func(m *Machine) { m.sizeOf = f }
-}
-
 // NewMachine creates a machine with p processors. It panics if p < 1.
-func NewMachine(p int, opts ...Option) *Machine {
+func NewMachine(p int) *Machine {
 	if p < 1 {
 		panic("pro: machine needs at least one processor")
 	}
@@ -56,14 +45,10 @@ func NewMachine(p int, opts ...Option) *Machine {
 		inboxes: make([]*mailbox, p),
 		barrier: newBarrier(p),
 		costs:   make([]*Cost, p),
-		sizeOf:  DefaultSize,
 	}
 	for i := range m.inboxes {
 		m.inboxes[i] = newMailbox(p)
 		m.costs[i] = newCost()
-	}
-	for _, o := range opts {
-		o(m)
 	}
 	return m
 }
@@ -79,7 +64,7 @@ func (m *Machine) P() int { return m.p }
 // released (their channel operations are poisoned by closing the
 // machine), and the panic is returned as an error annotated with the
 // processor rank. Run may be called several times on the same machine;
-// cost counters accumulate across runs until ResetCosts.
+// cost counters accumulate across runs.
 func (m *Machine) Run(body func(*Proc)) error {
 	var wg sync.WaitGroup
 	errs := make([]error, m.p)
@@ -132,15 +117,6 @@ func (m *Machine) Run(body func(*Proc)) error {
 		}
 	}
 	return nil
-}
-
-// ResetCosts zeroes all cost counters, typically between a warm-up run
-// and a measured run.
-func (m *Machine) ResetCosts() {
-	for i := range m.costs {
-		m.costs[i] = newCost()
-	}
-	m.maxSuper = 0
 }
 
 // Cost returns the accumulated cost counters of processor rank.

@@ -70,25 +70,6 @@ func (mb *mailbox) popAny() message {
 	return msg
 }
 
-// tryPop removes the oldest message if one exists.
-func (mb *mailbox) tryPop() (message, bool) {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	if len(mb.queue) == 0 {
-		return message{}, false
-	}
-	msg := mb.queue[0]
-	mb.queue = mb.queue[1:]
-	return msg, true
-}
-
-// len returns the number of queued messages.
-func (mb *mailbox) len() int {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	return len(mb.queue)
-}
-
 // poison wakes all blocked receivers with a panic, used to unwind the
 // machine when some processor has already panicked.
 func (mb *mailbox) poison() {

@@ -121,43 +121,12 @@ func TestRecvAnyCollectsAll(t *testing.T) {
 	}
 }
 
-func TestTryRecv(t *testing.T) {
-	m := NewMachine(2)
-	err := m.Run(func(p *Proc) {
-		if p.Rank() == 0 {
-			if _, _, ok := p.TryRecv(); ok {
-				t.Error("TryRecv on empty mailbox returned a message")
-			}
-			p.Send(1, 42)
-		} else {
-			if got := p.Recv(0).(int); got != 42 {
-				t.Errorf("got %d", got)
-			}
-			if _, _, ok := p.TryRecv(); ok {
-				t.Error("mailbox should be drained")
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBarrierSeparatesSupersteps(t *testing.T) {
 	m := NewMachine(4)
 	err := m.Run(func(p *Proc) {
-		if p.Superstep() != 0 {
-			t.Errorf("initial superstep = %d", p.Superstep())
-		}
-		p.Barrier()
-		if p.Superstep() != 1 {
-			t.Errorf("superstep after barrier = %d", p.Superstep())
-		}
 		p.Barrier()
 		p.Barrier()
-		if p.Superstep() != 3 {
-			t.Errorf("superstep = %d, want 3", p.Superstep())
-		}
+		p.Barrier()
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -290,17 +259,6 @@ func TestCostsChargedToCorrectSuperstep(t *testing.T) {
 	steps := m.Cost(0).Steps()
 	if steps[0].Ops != 3 || steps[1].Ops != 5 {
 		t.Fatalf("per-step ops: %+v", steps)
-	}
-}
-
-func TestResetCosts(t *testing.T) {
-	m := NewMachine(2)
-	if err := m.Run(func(p *Proc) { p.AddOps(5) }); err != nil {
-		t.Fatal(err)
-	}
-	m.ResetCosts()
-	if r := m.Report(); r.TotalOps() != 0 {
-		t.Fatalf("costs survived reset: %d", r.TotalOps())
 	}
 }
 
@@ -477,44 +435,6 @@ func (customSized) SizeBytes() int { return 123 }
 func TestSizedInterface(t *testing.T) {
 	if got := DefaultSize(customSized{}); got != 123 {
 		t.Fatalf("Sized payload measured as %d", got)
-	}
-}
-
-func TestWithSizer(t *testing.T) {
-	m := NewMachine(2, WithSizer(func(any) int { return 7 }))
-	err := m.Run(func(p *Proc) {
-		if p.Rank() == 0 {
-			p.Send(1, "xxxxxxxxxxxx")
-		} else {
-			p.Recv(0)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Cost(0).Totals().BytesOut != 7 {
-		t.Fatal("custom sizer ignored")
-	}
-}
-
-func TestPendingCount(t *testing.T) {
-	m := NewMachine(2)
-	err := m.Run(func(p *Proc) {
-		if p.Rank() == 0 {
-			p.Send(1, 1)
-			p.Send(1, 2)
-			p.Barrier()
-		} else {
-			p.Barrier()
-			if n := p.Pending(); n != 2 {
-				t.Errorf("pending = %d, want 2", n)
-			}
-			p.Recv(0)
-			p.Recv(0)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -18,13 +18,13 @@ func (p *Proc) P() int { return p.m.p }
 
 // Send transmits payload to processor `to` (self-sends are allowed and
 // delivered through the same mailbox). The payload's size in bytes, as
-// measured by the machine's sizer, is charged to this processor's current
+// measured by DefaultSize, is charged to this processor's current
 // superstep as outgoing traffic.
 func (p *Proc) Send(to int, payload any) {
 	if to < 0 || to >= p.m.p {
 		panic(fmt.Sprintf("pro: send to invalid rank %d (p=%d)", to, p.m.p))
 	}
-	size := p.m.sizeOf(payload)
+	size := DefaultSize(payload)
 	c := p.m.costs[p.rank].cur()
 	c.MsgsOut++
 	c.BytesOut += int64(size)
@@ -57,32 +57,12 @@ func (p *Proc) RecvAny() (from int, payload any) {
 	return msg.from, msg.payload
 }
 
-// TryRecv removes and returns the oldest pending message, if any, without
-// blocking.
-func (p *Proc) TryRecv() (from int, payload any, ok bool) {
-	msg, ok := p.m.inboxes[p.rank].tryPop()
-	if !ok {
-		return 0, nil, false
-	}
-	c := p.m.costs[p.rank].cur()
-	c.MsgsIn++
-	c.BytesIn += int64(msg.size)
-	return msg.from, msg.payload, true
-}
-
-// Pending returns the number of undelivered messages in this processor's
-// mailbox.
-func (p *Proc) Pending() int { return p.m.inboxes[p.rank].len() }
-
 // Barrier synchronizes all processors and starts a new superstep for cost
 // accounting. Every processor must call Barrier the same number of times.
 func (p *Proc) Barrier() {
 	p.m.barrier.await()
 	p.m.costs[p.rank].advance()
 }
-
-// Superstep returns the index of the current superstep (starting at 0).
-func (p *Proc) Superstep() int { return p.m.costs[p.rank].superstep() }
 
 // AddOps charges n local operations to the current superstep. The paper's
 // algorithms charge one operation per item touched and per hypergeometric

@@ -1,12 +1,10 @@
 package pro
 
-import "randperm/internal/engine"
-
 // Reduce combines one value per processor with a binary operation and
 // delivers the result at the root; other ranks receive the zero value of
 // T. op must be associative; values are combined in rank order, so
 // non-commutative operations are well defined.
-func Reduce[T any](p engine.Worker, root int, v T, op func(a, b T) T) T {
+func Reduce[T any](p *Proc, root int, v T, op func(a, b T) T) T {
 	vals := Gather(p, root, v)
 	if p.Rank() != root {
 		var zero T
@@ -15,25 +13,6 @@ func Reduce[T any](p engine.Worker, root int, v T, op func(a, b T) T) T {
 	acc := vals[0]
 	for _, x := range vals[1:] {
 		acc = op(acc, x)
-	}
-	p.AddOps(int64(p.P()))
-	return acc
-}
-
-// AllReduce is Reduce delivered to every processor.
-func AllReduce[T any](p engine.Worker, v T, op func(a, b T) T) T {
-	return Bcast(p, 0, Reduce(p, 0, v, op))
-}
-
-// ExScan computes the exclusive prefix combination: rank r receives
-// op(v_0, ..., v_{r-1}), and rank 0 receives zero. It is the collective
-// behind order-preserving redistributions (e.g. the rebalancing step of
-// the sort-based shuffle baseline).
-func ExScan[T any](p engine.Worker, v T, op func(a, b T) T, zero T) T {
-	vals := AllGather(p, v)
-	acc := zero
-	for r := 0; r < p.Rank(); r++ {
-		acc = op(acc, vals[r])
 	}
 	p.AddOps(int64(p.P()))
 	return acc

@@ -33,48 +33,3 @@ func TestReduceNonCommutative(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestAllReduce(t *testing.T) {
-	m := NewMachine(5)
-	err := m.Run(func(p *Proc) {
-		maxRank := AllReduce(p, p.Rank(), func(a, b int) int {
-			if a > b {
-				return a
-			}
-			return b
-		})
-		if maxRank != 4 {
-			t.Errorf("rank %d: allreduce max = %d", p.Rank(), maxRank)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestExScan(t *testing.T) {
-	m := NewMachine(6)
-	err := m.Run(func(p *Proc) {
-		got := ExScan(p, int64(p.Rank()+1), func(a, b int64) int64 { return a + b }, 0)
-		// Exclusive prefix of 1,2,3,...: rank r gets r(r+1)/2.
-		want := int64(p.Rank()) * int64(p.Rank()+1) / 2
-		if got != want {
-			t.Errorf("rank %d: exscan = %d, want %d", p.Rank(), got, want)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestExScanSingleProc(t *testing.T) {
-	m := NewMachine(1)
-	err := m.Run(func(p *Proc) {
-		if got := ExScan(p, 42, func(a, b int) int { return a + b }, 0); got != 0 {
-			t.Errorf("p=1 exscan = %d, want 0", got)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}

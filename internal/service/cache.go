@@ -2,6 +2,7 @@ package service
 
 import (
 	"container/list"
+	"context"
 	"sync"
 
 	"randperm"
@@ -18,16 +19,26 @@ type handleKey struct {
 	backend randperm.Backend
 }
 
+// handle is what a cache entry serves from: a *randperm.Permuter, or
+// in cluster mode a *cluster.Permuter for backend=cluster, which reads
+// this node's shards locally and the rest of the domain from the owning
+// peers instead of materializing all n words here.
+type handle interface {
+	Chunk(dst []int64, start int64) (int, error)
+	Materialized() bool
+	MaterializeContext(ctx context.Context) error
+}
+
 // handleEntry is one cache slot. The sync.Once is the single-flight
 // seam: every request that resolves the same key gets the same entry,
 // exactly one of them runs the constructor, and the rest block on the
-// Once and then share the one *Permuter — which in turn holds the
-// library's own once-guarded lazy materialization, so 1000 concurrent
+// Once and then share the one handle — which in turn holds its own
+// once-guarded lazy materialization, so 1000 concurrent
 // first requests for one permutation cost one n-word build, not 1000.
 type handleEntry struct {
 	key  handleKey
 	once sync.Once
-	pm   *randperm.Permuter
+	pm   handle
 	err  error
 	// gate serializes and bounds the handle's lazy materialization (see
 	// admission.go): handle *construction* is cheap and runs on the Once
@@ -46,7 +57,7 @@ type handleEntry struct {
 // only forgets the handle, it never invalidates in-flight use.
 type handleCache struct {
 	capacity int
-	build    func(handleKey) (*randperm.Permuter, error)
+	build    func(handleKey) (handle, error)
 	// onEvict is told about each key dropped by the LRU — called outside
 	// the cache lock, after the eviction took effect.
 	onEvict func(handleKey)
@@ -56,7 +67,7 @@ type handleCache struct {
 	lru     *list.List                  // front = most recently used
 }
 
-func newHandleCache(capacity int, build func(handleKey) (*randperm.Permuter, error), onEvict func(handleKey)) *handleCache {
+func newHandleCache(capacity int, build func(handleKey) (handle, error), onEvict func(handleKey)) *handleCache {
 	if capacity < 1 {
 		capacity = 1
 	}

@@ -225,20 +225,43 @@ func TestClusterServiceAtomicFailure(t *testing.T) {
 	const n, seed = 500, 3
 	servers, proxies, _ := bootChaosServiceCluster(t, 2, Config{Procs: 4})
 	proxies[1].Kill()
-	// The whole domain: node 0's own shard would be served first if the
-	// handler streamed eagerly — the dead far shard must take the whole
-	// response down instead.
-	path := fmt.Sprintf("/v1/perm/%d/chunk?n=%d&len=%d&backend=cluster", seed, n, n)
-	code, body := httpGet(t, servers[0].URL+path)
-	if code != http.StatusInternalServerError {
-		t.Fatalf("R=1 chunk with a dead peer: status %d: %.80s", code, body)
+	for _, path := range []string{
+		// The whole domain: node 0's own shard would be served first if
+		// the handler streamed eagerly — the dead far shard must take
+		// the whole response down instead.
+		fmt.Sprintf("/v1/perm/%d/chunk?n=%d&len=%d&backend=cluster", seed, n, n),
+		// A point read in the dead peer's shard.
+		fmt.Sprintf("/v1/perm/%d/at?n=%d&i=%d&backend=cluster", seed, n, n-1),
+	} {
+		code, body := httpGet(t, servers[0].URL+path)
+		if code != http.StatusInternalServerError {
+			t.Fatalf("R=1 %s with a dead peer: status %d: %.80s", path, code, body)
+		}
+		if !strings.HasPrefix(body, "permd:") {
+			t.Errorf("%s: error response carries payload bytes before the error: %.80s", path, body)
+		}
+		// The typed peer error survives to the operator-visible message.
+		if !strings.Contains(body, "node 1") {
+			t.Errorf("%s: error does not name the dead peer: %.200s", path, body)
+		}
 	}
-	if !strings.HasPrefix(body, "permd:") {
-		t.Errorf("error response carries payload bytes before the error: %.80s", body)
+}
+
+// TestClusterEmptyReadNoBuild pins that a backend=cluster read of the
+// empty domain has nothing to build: it is answered without taking a
+// build slot, however often it is repeated.
+func TestClusterEmptyReadNoBuild(t *testing.T) {
+	servers, _, permds := bootChaosServiceCluster(t, 2, Config{Procs: 4})
+	for i := 0; i < 3; i++ {
+		if code, body := httpGet(t, servers[0].URL+"/v1/perm/5/chunk?n=0&backend=cluster"); code != http.StatusOK || body != "" {
+			t.Fatalf("read %d of n=0: status %d: %.80s", i, code, body)
+		}
 	}
-	// The typed peer error survives to the operator-visible message.
-	if !strings.Contains(body, "node 1") {
-		t.Errorf("error does not name the dead peer: %.200s", body)
+	if got := metricValue(t, permds[0], "permd_admission_builds_total"); got != 0 {
+		t.Errorf("admitted %d builds for three reads of n=0, want 0", got)
+	}
+	if got := metricValue(t, permds[0], "permd_cluster_shard_builds_total"); got != 0 {
+		t.Errorf("built %d shards for three reads of n=0, want 0", got)
 	}
 }
 

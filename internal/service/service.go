@@ -343,19 +343,16 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // buildHandle is the cache's single-flight constructor: the one place a
 // Permuter is made, so the materialization-counting hook is registered
 // before any request can share the handle. In cluster mode a
-// backend=cluster handle is source-backed: it reads this node's shard
-// locally and routes the rest of the domain to the owning peers,
-// instead of materializing all n words here.
-func (s *Server) buildHandle(key handleKey) (*randperm.Permuter, error) {
-	opt := randperm.Options{
+// backend=cluster handle is this node's cluster.Permuter.
+func (s *Server) buildHandle(key handleKey) (handle, error) {
+	if key.backend == randperm.BackendCluster && s.node != nil {
+		return s.node.Permuter(key.n, key.seed), nil
+	}
+	pm, err := randperm.NewPermuter(key.n, randperm.Options{
 		Procs:   s.cfg.Procs,
 		Seed:    key.seed,
 		Backend: key.backend,
-	}
-	if key.backend == randperm.BackendCluster && s.node != nil {
-		return randperm.NewPermuterSource(s.node.Permuter(key.n, key.seed), opt)
-	}
-	pm, err := randperm.NewPermuter(key.n, opt)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -609,7 +606,7 @@ func (s *Server) serveClusterRange(w http.ResponseWriter, r *http.Request, e *ha
 // reads through the pooled MaxChunk buffer, so a huge range holds
 // O(MaxChunk) memory. Error responses — a 500 before the first byte,
 // truncation after — are handled here.
-func (s *Server) serveRange(w http.ResponseWriter, r *http.Request, pm *randperm.Permuter, start, length int64, stats rangeStats) bool {
+func (s *Server) serveRange(w http.ResponseWriter, r *http.Request, pm handle, start, length int64, stats rangeStats) bool {
 	began := time.Now()
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	bufp := s.bufs.Get().(*[]int64)

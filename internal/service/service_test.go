@@ -614,7 +614,7 @@ func TestCacheEviction(t *testing.T) {
 // key; the next request retries and can succeed.
 func TestCacheErrorNotCached(t *testing.T) {
 	calls := 0
-	c := newHandleCache(4, func(k handleKey) (*randperm.Permuter, error) {
+	c := newHandleCache(4, func(k handleKey) (handle, error) {
 		calls++
 		if calls == 1 {
 			return nil, errors.New("transient")

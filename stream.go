@@ -18,19 +18,17 @@ import (
 // walk data far larger than any one machine's memory, the coarse
 // grained setting the source paper starts from.
 //
-// Every read goes through one ChunkSource. On BackendBijective it is a
-// keyed Feistel bijection (built once in NewPermuter) that computes
+// A handle is backed in one of two ways. On BackendBijective it holds
+// a keyed Feistel bijection (built once in NewPermuter) that computes
 // each position in O(1) state, so Chunk fills its destination with
 // zero allocations regardless of n, and n may exceed available memory
 // by any factor. On the materializing backends (Sim, SharedMem,
-// InPlace, Cluster) it is one re-armable build: the full permutation,
-// constructed lazily on first use with the selected backend's engine
-// into one n-word buffer and reused by every subsequent Chunk, Iter and
-// At. A handle built by NewPermuterSource reads from the caller's
-// ChunkSource instead — the permd cluster serves its sharded
-// permutations this way, each node holding only its own n/N-word shard
-// and fetching the rest from the owning peers. Chunk validates the
-// range and delegates; At and Iter are Chunk reads.
+// InPlace, Cluster) it holds one re-armable build: the full
+// permutation, constructed lazily on first use with the selected
+// backend's engine into one n-word buffer and reused by every
+// subsequent Chunk, Iter and At. Chunk validates the range and reads
+// from whichever backing the handle holds; At and Iter are Chunk
+// reads.
 //
 // Determinism: the permutation a Permuter exposes is a pure function of
 // (Backend, Seed, Procs, n) — on BackendBijective, of (Seed, Rounds, n),
@@ -53,53 +51,24 @@ import (
 // BackendBijective constant). Check Options.Backend.ExactUniform when
 // exactness matters.
 type Permuter struct {
-	n   int64
-	opt Options
-	src ChunkSource // bijSource, *lazySource, or the NewPermuterSource argument
+	n    int64
+	opt  Options
+	bij  *engine.Bijection // BackendBijective; nil on the materializing backends
+	lazy *lazySource       // the materializing backends; nil on BackendBijective
 }
 
-// A ChunkSource is a pluggable backing for a Permuter: anything that
-// can fill chunks of one fixed permutation of [0, Len()). It is how a
-// permutation whose storage lives somewhere else — sharded across the
-// nodes of a permd cluster, most importantly — is served through the
-// exact same streaming API, handle cache and HTTP endpoints as the
-// in-process backends. Chunk follows the Permuter.Chunk contract:
-// dst[k] = π(start+k), short count at the end of the domain, safe for
-// concurrent use. A source may also implement Materialize() error
-// and/or Materialized() bool; a sourced Permuter forwards both.
-type ChunkSource interface {
-	// Len returns the domain size n.
-	Len() int64
-	// Chunk fills dst with π(start) .. π(start+len(dst)-1), clamped to
-	// the domain end, and returns how many values were written.
-	Chunk(dst []int64, start int64) (int, error)
-}
-
-// newSource builds the source a handle owns for opt's backend: the
-// keyed bijection on BackendBijective, a lazily built buffer (firing
-// hook on each build) on every other. NewPermuter installs it and Reset
-// rebuilds it. Both sources are read only through Permuter.Chunk, so
-// they receive ranges already validated and clamped to [0, n).
-func newSource(n int64, opt Options, hook func()) ChunkSource {
-	if opt.Backend == BackendBijective {
-		return bijSource{newBijection(n, opt)}
+// rekey installs the backing p.opt.Backend selects: the keyed
+// bijection on BackendBijective, a lazily built buffer (firing hook on
+// each build) on every other. NewPermuter installs it and Reset
+// rebuilds it. Both are read only through Permuter.Chunk, so they
+// receive ranges already validated and clamped to [0, n).
+func (p *Permuter) rekey(hook func()) {
+	if p.opt.Backend == BackendBijective {
+		p.bij = newBijection(p.n, p.opt)
+		return
 	}
-	l := &lazySource{n: n, opt: opt, hook: hook}
-	l.mat.Store(&permMat{})
-	return l
-}
-
-// bijSource serves BackendBijective: batch evaluation runs the chunk's
-// indices through the Feistel network bijLanes at a time (see
-// engine.Bijection.Chunk), which is what makes the streamed path's
-// ns/index competitive with the materializing backends.
-type bijSource struct{ b *engine.Bijection }
-
-func (s bijSource) Len() int64 { return s.b.N() }
-
-func (s bijSource) Chunk(dst []int64, start int64) (int, error) {
-	s.b.Chunk(dst, start)
-	return len(dst), nil
+	p.lazy = &lazySource{n: p.n, opt: p.opt, hook: hook}
+	p.lazy.mat.Store(&permMat{})
 }
 
 // lazySource serves the materializing backends from one n-word buffer,
@@ -122,9 +91,7 @@ type permMat struct {
 	built atomic.Bool // set after a successful build, for Materialized
 }
 
-func (l *lazySource) Len() int64 { return l.n }
-
-func (l *lazySource) Chunk(dst []int64, start int64) (int, error) {
+func (l *lazySource) chunk(dst []int64, start int64) (int, error) {
 	perm, err := l.build(context.Background())
 	if err != nil {
 		return 0, err
@@ -132,7 +99,7 @@ func (l *lazySource) Chunk(dst []int64, start int64) (int, error) {
 	return copy(dst, perm[start:]), nil
 }
 
-func (l *lazySource) Materialized() bool { return l.mat.Load().built.Load() }
+func (l *lazySource) materialized() bool { return l.mat.Load().built.Load() }
 
 // build builds (once) and returns the full permutation; racing callers
 // all observe the completed build. The build threads ctx.Done() into the
@@ -178,7 +145,9 @@ func NewPermuter(n int64, opt Options) (*Permuter, error) {
 	if opt.Procs < 1 {
 		return nil, fmt.Errorf("randperm: Procs must be positive, got %d", opt.Procs)
 	}
-	return &Permuter{n: n, opt: opt, src: newSource(n, opt, nil)}, nil
+	p := &Permuter{n: n, opt: opt}
+	p.rekey(nil)
+	return p, nil
 }
 
 // newBijection builds the keyed bijection opt selects: the default
@@ -189,25 +158,6 @@ func newBijection(n int64, opt Options) *engine.Bijection {
 		return engine.NewBijectionRounds(n, opt.Seed, opt.Rounds)
 	}
 	return engine.NewBijection(n, opt.Seed)
-}
-
-// NewPermuterSource wraps src — a remote or otherwise externally-backed
-// permutation — in a Permuter, so callers (and the permd service, whose
-// cluster mode is the motivating user) handle every backend through one
-// type. opt is advisory: Backend is reported by Backend() and Seed is
-// carried for observability, but the permutation itself is whatever src
-// serves. A sourced Permuter cannot be re-keyed: Reset panics, because
-// the handle has no way to re-seed storage it does not own — construct
-// a new source instead.
-func NewPermuterSource(src ChunkSource, opt Options) (*Permuter, error) {
-	if src == nil {
-		return nil, fmt.Errorf("randperm: NewPermuterSource with nil source")
-	}
-	n := src.Len()
-	if n < 0 {
-		return nil, fmt.Errorf("randperm: source reports negative length %d", n)
-	}
-	return &Permuter{n: n, opt: opt.withDefaults(), src: src}, nil
 }
 
 // Len returns the length n of the permuted index space.
@@ -232,7 +182,14 @@ func (p *Permuter) Chunk(dst []int64, start int64) (int, error) {
 	if rest := p.n - start; int64(len(dst)) > rest {
 		dst = dst[:rest]
 	}
-	return p.src.Chunk(dst, start)
+	if p.bij != nil {
+		// Batch evaluation runs the chunk's indices through the
+		// Feistel network several lanes at a time (see
+		// engine.Bijection.Chunk).
+		p.bij.Chunk(dst, start)
+		return len(dst), nil
+	}
+	return p.lazy.chunk(dst, start)
 }
 
 // At returns π(i), the single position i of the permutation. i must be
@@ -250,8 +207,7 @@ func (p *Permuter) At(i int64) int64 {
 }
 
 // iterPage is the page Iter pulls through Chunk: large enough to batch
-// the bijection and amortize a remote source's round trips, small enough
-// that an early break wastes little work.
+// the bijection, small enough that an early break wastes little work.
 const iterPage = 1 << 12
 
 // Iter returns a Go 1.23+ range-over-func iterator yielding
@@ -286,19 +242,14 @@ func (p *Permuter) Iter() iter.Seq[int64] {
 // with NewPermuter(Len(), opt-with-new-Seed): the bijection is re-keyed
 // and any materialized permutation is dropped and lazily rebuilt on next
 // access. Reset must not be called concurrently with any other method on
-// the handle. A sourced handle (NewPermuterSource) panics: it does not
-// own the storage a re-key would have to rebuild.
+// the handle.
 func (p *Permuter) Reset(seed uint64) {
 	var hook func()
-	switch s := p.src.(type) {
-	case *lazySource:
-		hook = s.hook
-	case bijSource:
-	default:
-		panic("randperm: Reset on a source-backed Permuter; construct a new source instead")
+	if p.lazy != nil {
+		hook = p.lazy.hook
 	}
 	p.opt.Seed = seed
-	p.src = newSource(p.n, p.opt, hook)
+	p.rekey(hook)
 }
 
 // Materialized reports whether the handle's lazy build has already run.
@@ -309,8 +260,7 @@ func (p *Permuter) Reset(seed uint64) {
 // can use it to tell which cached handles are paying n words of memory
 // and which are still cheap.
 func (p *Permuter) Materialized() bool {
-	m, ok := p.src.(interface{ Materialized() bool })
-	return ok && m.Materialized()
+	return p.lazy != nil && p.lazy.materialized()
 }
 
 // Materialize forces the lazy build now instead of on first access, and
@@ -334,17 +284,14 @@ func (p *Permuter) Materialize() error {
 // clients that stayed. Racing callers share one build; the governing
 // context is the one whose call started it, and co-waiters that lose
 // their builder this way also receive its cancellation error (their
-// retry hits the re-armed handle). On BackendBijective and on sources
-// without a Materialize method it is a no-op returning nil.
+// retry hits the re-armed handle). On BackendBijective it is a no-op
+// returning nil.
 func (p *Permuter) MaterializeContext(ctx context.Context) error {
-	if l, ok := p.src.(*lazySource); ok {
-		_, err := l.build(ctx)
-		return err
+	if p.lazy == nil {
+		return nil
 	}
-	if m, ok := p.src.(interface{ Materialize() error }); ok {
-		return m.Materialize()
-	}
-	return nil
+	_, err := p.lazy.build(ctx)
+	return err
 }
 
 // OnMaterialize registers fn to be called exactly once per lazy build,
@@ -355,10 +302,10 @@ func (p *Permuter) MaterializeContext(ctx context.Context) error {
 // counting materializations in a server's metrics, logging slow builds —
 // without wrapping every accessor. Register it before the handle is
 // shared: OnMaterialize must not be called concurrently with any other
-// method. Registering nil clears the hook; on BackendBijective and on
-// sourced handles nothing is built here, so the hook never fires.
+// method. Registering nil clears the hook; on BackendBijective nothing
+// is built, so the hook never fires.
 func (p *Permuter) OnMaterialize(fn func()) {
-	if l, ok := p.src.(*lazySource); ok {
-		l.hook = fn
+	if p.lazy != nil {
+		p.lazy.hook = fn
 	}
 }
