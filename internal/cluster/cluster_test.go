@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -293,6 +294,36 @@ func TestPeerEndpointGuards(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestedRangeNotSatisfiable {
 		t.Errorf("overflowing len: status %s, want 416", resp.Status)
+	}
+}
+
+// TestChunkTrailingBytesRefused: a peer that answers a chunk request
+// with more values than asked is refused like a short one — a
+// *PeerError naming the peer and the chunk op — rather than read up to
+// the asked length and trusted.
+func TestChunkTrailingBytesRefused(t *testing.T) {
+	const n, seed = 400, 9
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		length, err := strconv.Atoi(r.URL.Query().Get("len"))
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		w.Write(make([]byte, 8*(length+1)))
+	}))
+	defer stub.Close()
+	nd, err := New(Config{Self: 0, Peers: []string{"http://127.0.0.1:1", stub.URL}, Procs: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := nd.ShardRange(n, 1)
+	_, err = nd.Permuter(n, seed).Chunk(make([]int64, hi-lo), lo)
+	var pe *PeerError
+	if !errors.As(err, &pe) {
+		t.Fatalf("a peer answering len+1 values: err %v, want a *PeerError", err)
+	}
+	if pe.Node != 1 || pe.Op != "chunk" || !strings.Contains(pe.Err.Error(), "trailing bytes") {
+		t.Errorf("PeerError = node %d op %s: %v, want node 1 op chunk, trailing bytes", pe.Node, pe.Op, pe.Err)
 	}
 }
 

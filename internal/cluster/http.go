@@ -535,9 +535,10 @@ func (nd *Node) handleChunk(w http.ResponseWriter, r *http.Request) {
 const chunkPage = 1 << 15
 
 // fetchChunk pulls values [start, start+len(dst)) of slot's shard from
-// peer k into dst, decoding the body page by page. ctx is the hedging
+// peer k into dst, decoding the body page by page; a body that ends
+// early or runs past the last value is refused. ctx is the hedging
 // seam: a losing racer is cancelled here, and the cancellation is not
-// held against k's health.
+// held against k's health. On an error dst may hold part of the span.
 func (nd *Node) fetchChunk(ctx context.Context, k int, n int64, seed uint64, dst []int64, start int64) error {
 	u := fmt.Sprintf("%s/v1/cluster/chunk?n=%d&seed=%d&start=%d&len=%d",
 		nd.cfg.Peers[k], n, seed, start, len(dst))
@@ -561,6 +562,14 @@ func (nd *Node) fetchChunk(ctx context.Context, k int, n int64, seed uint64, dst
 		}
 		rest = rest[m:]
 	}
+	var one [1]byte
+	switch _, err := io.ReadFull(resp.Body, one[:]); err {
+	case io.EOF:
+	case nil:
+		return nd.peerError(k, RoundServe, "chunk", fmt.Errorf("trailing bytes after %d values", len(dst)))
+	default:
+		return nd.peerError(k, RoundServe, "chunk", fmt.Errorf("reading past the last value: %w", err))
+	}
 	nd.proxyReqs.Add(1)
 	nd.proxyItems.Add(int64(len(dst)))
 	return nil
@@ -573,12 +582,15 @@ func (nd *Node) fetchChunk(ctx context.Context, k int, n int64, seed uint64, dst
 // The first candidate is fired immediately; if it has not answered
 // within the hedge budget the next one is raced against it, first
 // answer wins and the loser is cancelled via its context; any error
-// advances to the next candidate at once. Each racer fills a private
-// buffer so a cancelled loser can never tear the winner's bytes — not
-// that it could change them: every replica serves identical values,
-// which is why hedging is safe at all. Canceling ctx — the reading
-// client is gone — stops every racer. Either way, no racer outlives
-// the call.
+// advances to the next candidate at once. A racer launched while no
+// other is in flight decodes straight into dst. A racer launched
+// beside another — a hedge, or a failover while a hedge is out — fills
+// a private buffer, so two racers never write dst at once, and if it
+// wins its values are copied into dst only after every other racer has
+// returned. Not that a loser could change them: every replica serves
+// identical values, which is why hedging is safe at all. Canceling ctx
+// — the reading client is gone — stops every racer. Either way, no
+// racer outlives the call; on an error dst may hold part of the span.
 func (nd *Node) readRemoteSpan(ctx context.Context, slot int, n int64, seed uint64, dst []int64, start int64) error {
 	cands := nd.health.rank(nd.replicasOf(slot))
 	ctx, cancel := context.WithCancel(ctx)
@@ -586,24 +598,32 @@ func (nd *Node) readRemoteSpan(ctx context.Context, slot int, n int64, seed uint
 	type result struct {
 		cand   int
 		hedged bool
-		buf    []int64
+		buf    []int64 // nil when the racer decoded into dst
 		err    error
 	}
 	ch := make(chan result, len(cands))
 	launched, pending := 0, 0
-	defer func() {
+	drain := func() {
 		cancel()
 		for ; pending > 0; pending-- {
 			<-ch
 		}
-	}()
+	}
+	defer drain()
 	launch := func(hedged bool) {
 		k := cands[launched]
 		launched++
+		var buf []int64
+		if pending > 0 {
+			buf = make([]int64, len(dst))
+		}
 		pending++
 		go func() {
-			buf := make([]int64, len(dst))
-			err := nd.fetchChunk(ctx, k, n, seed, buf, start)
+			into := buf
+			if into == nil {
+				into = dst
+			}
+			err := nd.fetchChunk(ctx, k, n, seed, into, start)
 			ch <- result{cand: k, hedged: hedged, buf: buf, err: err}
 		}()
 	}
@@ -629,7 +649,10 @@ func (nd *Node) readRemoteSpan(ctx context.Context, slot int, n int64, seed uint
 		case res := <-ch:
 			pending--
 			if res.err == nil {
-				copy(dst, res.buf)
+				if res.buf != nil {
+					drain() // the racer writing dst, if any, has returned
+					copy(dst, res.buf)
+				}
 				if res.hedged {
 					nd.serveEvent(nd.hedgeWins, res.cand, RoundServe, slot, "hedge_win")
 				}

@@ -42,8 +42,9 @@ func (p *Permuter) Len() int64 { return p.n }
 // is StartRead followed by Finish. The error is nil exactly when every
 // span was served; otherwise it is the error of the lowest-numbered
 // failed slot, whatever order the spans finished in, and dst may hold
-// the spans that succeeded — callers that promise atomicity (the permd
-// chunk endpoint does) must buffer before exposing bytes.
+// the spans that succeeded and part of a failed one — callers that
+// promise atomicity (the permd chunk endpoint does) must buffer before
+// exposing bytes.
 func (p *Permuter) Chunk(dst []int64, start int64) (int, error) {
 	return p.StartRead(context.Background(), dst, start).Finish()
 }

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"randperm"
 	"randperm/internal/cluster/chaos"
 	"randperm/internal/harness/testkit"
 )
@@ -23,7 +24,7 @@ import (
 // -peers/-node would run, and waits for every node's /healthz before
 // returning — readiness is polled, never assumed from elapsed time, so
 // the cluster tests are deterministic under -race and load.
-func bootServiceCluster(t *testing.T, nodes int, base Config) []*httptest.Server {
+func bootServiceCluster(t testing.TB, nodes int, base Config) []*httptest.Server {
 	t.Helper()
 	servers := testkit.Loopback(t, nodes, func(k int, peers []string) http.Handler {
 		cfg := base
@@ -328,6 +329,37 @@ func TestClusterColdPullStallDrill(t *testing.T) {
 	}
 }
 
+// settleGoroutines closes the default transport's idle connections
+// and returns the goroutine count a moment later. The tests and every
+// node share that transport, so this returns every connection
+// goroutine the traffic left behind, on both ends; a connection still
+// in use — a peer read or a response that outlived its request — stays
+// open.
+func settleGoroutines() int {
+	http.DefaultTransport.(*http.Transport).CloseIdleConnections()
+	time.Sleep(20 * time.Millisecond)
+	return runtime.NumGoroutine()
+}
+
+// goroutineBaseline settles until two counts in a row agree.
+func goroutineBaseline() int {
+	baseline := settleGoroutines()
+	for g := settleGoroutines(); g != baseline; g = settleGoroutines() {
+		baseline = g
+	}
+	return baseline
+}
+
+// settleTo settles until the count is back to baseline or the deadline
+// passes, and returns the last count.
+func settleTo(baseline int, deadline time.Time) int {
+	g := settleGoroutines()
+	for g > baseline && time.Now().Before(deadline) {
+		g = settleGoroutines()
+	}
+	return g
+}
+
 // TestClusterBuildQueueNoPeerReads pins the bounds of a cluster read's
 // early peer reads. A cold backend=cluster read queued behind node 0's
 // full build gate sends node 1 no chunk request, before or after the
@@ -366,19 +398,7 @@ func TestClusterBuildQueueNoPeerReads(t *testing.T) {
 	// gives up.
 	<-permds[0].buildSem
 	proxies[1].Set(chaos.Rule{Path: "cluster/chunk", From: 0, Fault: chaos.Stall, Stall: time.Minute})
-	// The test and both nodes share the default transport, so closing
-	// its idle connections returns every connection goroutine the
-	// traffic left behind, on both ends; a connection still in use —
-	// a peer read that outlived its request — stays open.
-	settle := func() int {
-		http.DefaultTransport.(*http.Transport).CloseIdleConnections()
-		time.Sleep(20 * time.Millisecond)
-		return runtime.NumGoroutine()
-	}
-	baseline := settle()
-	for g := settle(); g != baseline; g = settle() {
-		baseline = g
-	}
+	baseline := goroutineBaseline()
 	ctx, cancel := context.WithCancel(context.Background())
 	req, err := http.NewRequestWithContext(ctx, "GET", path, nil)
 	if err != nil {
@@ -404,16 +424,90 @@ func TestClusterBuildQueueNoPeerReads(t *testing.T) {
 	if err := <-errc; !errors.Is(err, context.Canceled) {
 		t.Fatalf("disconnected read: %v, want context.Canceled", err)
 	}
-	g := settle()
-	for g > baseline && time.Now().Before(deadline) {
-		g = settle()
-	}
-	if g > baseline {
+	if g := settleTo(baseline, deadline); g > baseline {
 		t.Errorf("goroutines after the client left: %d, baseline %d — a peer read outlived its request", g, baseline)
 	}
 	if got := proxies[1].Aborted(); got != 1 {
 		t.Errorf("stalled peer reads released by cancellation = %d, want 1", got)
 	}
+}
+
+// TestClusterServeRangeLengths: backend=cluster responses of every
+// shape the ordered parallel tail cuts — one value, less than one
+// piece, not a multiple of a piece, across the shard boundary, the
+// whole domain — are byte-identical to the library's Chunk. GOMAXPROCS
+// is raised so that three helpers deal pieces even on one CPU.
+func TestClusterServeRangeLengths(t *testing.T) {
+	const n, seed = 5*tailPiece + 333, 7
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	servers := bootServiceCluster(t, 2, Config{Procs: 8})
+	opt := randperm.Options{Procs: 8, Seed: seed, Backend: randperm.BackendCluster}
+	for _, r := range []struct{ start, length int64 }{
+		{0, 1}, {5, tailPiece - 1}, {17, tailPiece + 1}, {n/2 - 100, 2*tailPiece + 5},
+		{n - 3*tailPiece - 7, 3*tailPiece + 7}, {0, n},
+	} {
+		code, body := httpGet(t, fmt.Sprintf("%s/v1/perm/%d/chunk?n=%d&start=%d&len=%d&backend=cluster",
+			servers[0].URL, seed, n, r.start, r.length))
+		if code != http.StatusOK {
+			t.Fatalf("start %d len %d: status %d: %.80s", r.start, r.length, code, body)
+		}
+		if body != expectChunk(t, n, opt, r.start, r.length) {
+			t.Errorf("start %d len %d: cluster-served bytes differ from the library's", r.start, r.length)
+		}
+	}
+}
+
+// TestClusterDisconnectMidBody: a client that reads the start of a cold
+// cluster pull and hangs up stops the response — node 0 never counts it
+// as served — and leaves no goroutine behind on either node: no
+// formatting helper, no peer read, no connection. The body is several
+// times what loopback socket buffers hold, so the hang-up lands while
+// node 0 is still writing.
+func TestClusterDisconnectMidBody(t *testing.T) {
+	const n = 1 << 21
+	servers, _, permds := bootChaosServiceCluster(t, 2, Config{Procs: 4})
+	baseline := goroutineBaseline()
+	resp, err := http.Get(fmt.Sprintf("%s/v1/perm/3/chunk?n=%d&len=%d&backend=cluster", servers[0].URL, n, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("cold pull: status %d", resp.StatusCode)
+	}
+	if _, err := io.ReadFull(resp.Body, make([]byte, 1<<16)); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close() // unread body: the connection is closed, not reused
+	if g := settleTo(baseline, time.Now().Add(10*time.Second)); g > baseline {
+		t.Errorf("goroutines after the client left: %d, baseline %d — the response outlived its client", g, baseline)
+	}
+	if got := metricValue(t, permds[0], "permd_chunk_items_total"); got != 0 {
+		t.Errorf("node 0 counted %d values served to a client that hung up", got)
+	}
+}
+
+// BenchmarkServeClusterColdPull times a cold full pull end to end: a
+// 2-node loopback permd cluster, n = 10^6, p = 8, a fresh seed per op,
+// the whole text body read to EOF from node 0. Beside
+// BenchmarkClusterColdPull's work it carries the HTTP request, the
+// text encoding and the write.
+func BenchmarkServeClusterColdPull(b *testing.B) {
+	const n = 1_000_000
+	servers := bootServiceCluster(b, 2, Config{Procs: 8})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resp, err := http.Get(fmt.Sprintf("%s/v1/perm/%d/chunk?n=%d&len=%d&backend=cluster", servers[0].URL, i+1, n, n))
+		if err != nil {
+			b.Fatal(err)
+		}
+		m, err := io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || m < 2*n {
+			b.Fatalf("pull %d: status %d, %d bytes, %v", i, resp.StatusCode, m, err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/item")
 }
 
 // TestClusterStatusCounters pins /v1/cluster/status's counters: after

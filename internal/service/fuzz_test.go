@@ -16,28 +16,38 @@ import (
 // FuzzDecimalLine: for any int64 the encoder writes exactly strconv's
 // decimal and a newline, leaves the bytes already in its buffer alone,
 // and a decimalWriter whose page has only the minimum room for one
-// line (every value a page write of its own) emits the same bytes.
+// line (every value a page write of its own) emits the same bytes. Two
+// values of independent lengths, written with an odd tail through a
+// page of exactly two lines' room, take the pair path and then the
+// single one, and emit the same bytes too.
 func FuzzDecimalLine(f *testing.F) {
-	for _, v := range []int64{0, 9, 10, 99_999_999, 100_000_000, 1e15 + 7, 1e16, 1e18, math.MaxInt64, -1, math.MinInt64} {
-		f.Add(v)
+	seeds := []int64{0, 9, 10, 99_999_999, 100_000_000, 1e15 + 7, 1e16, 1e18, math.MaxInt64, -1, math.MinInt64}
+	for i, v := range seeds {
+		f.Add(v, seeds[len(seeds)-1-i])
 	}
-	f.Fuzz(func(t *testing.T, v int64) {
-		want := strconv.AppendInt(nil, v, 10)
-		want = append(want, '\n')
-		got := appendDecimalLine(append(make([]byte, 0, 3+maxDecimalLine), "ab\n"...), v)
-		if string(got) != "ab\n"+string(want) {
-			t.Fatalf("appendDecimalLine(%d) = %q, want %q", v, got[3:], want)
-		}
+	line := func(v int64) string { return strconv.FormatInt(v, 10) + "\n" }
+	write := func(t *testing.T, pageCap int, vals ...int64) string {
 		var out strings.Builder
-		dw := newDecimalWriter(&out, make([]byte, 0, maxDecimalLine))
-		if err := dw.write([]int64{v, v}); err != nil {
+		dw := newDecimalWriter(&out, make([]byte, 0, pageCap))
+		if err := dw.write(vals); err != nil {
 			t.Fatal(err)
 		}
 		if err := dw.flush(); err != nil {
 			t.Fatal(err)
 		}
-		if out.String() != string(want)+string(want) {
-			t.Fatalf("decimalWriter(%d) = %q, want %q twice", v, out.String(), want)
+		return out.String()
+	}
+	f.Fuzz(func(t *testing.T, v, w int64) {
+		want := line(v)
+		got := appendDecimalLine(append(make([]byte, 0, 3+maxDecimalLine), "ab\n"...), v)
+		if string(got) != "ab\n"+want {
+			t.Fatalf("appendDecimalLine(%d) = %q, want %q", v, got[3:], want)
+		}
+		if got := write(t, maxDecimalLine, v, v); got != want+want {
+			t.Fatalf("decimalWriter(%d) = %q, want %q twice", v, got, want)
+		}
+		if got, want := write(t, 2*maxDecimalLine, v, w, v), want+line(w)+want; got != want {
+			t.Fatalf("decimalWriter(%d, %d, %d) = %q, want %q", v, w, v, got, want)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,10 +10,12 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"randperm"
 	"randperm/internal/events"
@@ -347,10 +350,19 @@ func TestSample(t *testing.T) {
 // lines — every digit count, both signs, the int64 extremes, and the
 // edges of the encoder's 8-digit groups (8/9 digits: one group or two;
 // 16/17: two or three; 19: the longest non-negative line), with zeros
-// inside the full groups — for any page size down to a single line and
+// inside the full groups, and neighbours of mixed lengths and signs
+// formatted as one pair — for any page size down to a single line and
 // any split of the values into write calls.
 func TestDecimalWriter(t *testing.T) {
-	vals := []int64{0, 1, -1, math.MaxInt64, math.MinInt64, math.MinInt64 + 1,
+	vals := []int64{
+		// Mixed-length neighbours, first so that they are pairs: 1 digit
+		// and 19, 1 and 8, 9 and 1, 8 and 9, 16 and 17, 16 and 1, a
+		// negative and a positive either way round, and MaxInt64 in
+		// either place.
+		7, 1_000_000_000_000_000_001, 5, 12_345_678, 123_456_789, 4,
+		12_345_678, 123_456_789, 1_234_567_890_123_456, 12_345_678_901_234_567,
+		9_999_999_999_999_999, 3, -42, 42, 42, -7, math.MaxInt64, 6, 8, math.MaxInt64,
+		0, 1, -1, math.MaxInt64, math.MinInt64, math.MinInt64 + 1,
 		99_999_999, 100_000_000, 100_000_001, 10_000_000_012_345_678,
 		9_999_999_999_999_999, 10_000_000_000_000_000, 10_000_000_100_000_001,
 		1_000_000_000_000_000_000, 1_234_567_890_123_456_789}
@@ -359,14 +371,14 @@ func TestDecimalWriter(t *testing.T) {
 	}
 	rng := rand.New(rand.NewPCG(1, 2))
 	for range 5000 {
-		vals = append(vals, int64(rng.Uint64()>>rng.IntN(64)), -rng.Int64N(1<<40))
+		vals = append(vals, int64(rng.Uint64()>>rng.IntN(64)), int64(rng.Uint64()>>rng.IntN(64)), -rng.Int64N(1<<40))
 	}
 	var want []byte
 	for _, v := range vals {
 		want = append(strconv.AppendInt(want, v, 10), '\n')
 	}
-	for _, pageCap := range []int{maxDecimalLine, 64, 1 << 15} {
-		for _, split := range []int{1, 7, len(vals)} {
+	for _, pageCap := range []int{maxDecimalLine, 2 * maxDecimalLine, 64, 1 << 15} {
+		for _, split := range []int{1, 2, 7, len(vals)} {
 			var got strings.Builder
 			dw := newDecimalWriter(&got, make([]byte, 0, pageCap))
 			for rest := vals; len(rest) > 0; {
@@ -386,21 +398,93 @@ func TestDecimalWriter(t *testing.T) {
 	}
 }
 
+// flakyWriter accepts ok writes and fails every one after them.
+type flakyWriter struct {
+	ok, writes int
+	b          strings.Builder
+}
+
+func (f *flakyWriter) Write(p []byte) (int, error) {
+	if f.writes++; f.writes > f.ok {
+		return 0, errors.New("client went away")
+	}
+	return f.b.Write(p)
+}
+
+// TestWriteLinesOrdered: the ordered parallel tail writes exactly what
+// one decimalWriter writes, for ranges shorter than a piece, of whole
+// pieces and not a multiple of one, on one goroutine, on four, with
+// more procs than tailWorkers and with none; pages sized for the values' bound n
+// and pages sized for a bound the values overrun (n = 10, and negative
+// values for n = MaxInt64) give the same bytes. It stops at the first
+// failed write or at a canceled context, and no helper outlives the
+// call either way.
+func TestWriteLinesOrdered(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 6))
+	vals := make([]int64, 10*tailPiece+77) // three pieces for helper 1 at four workers
+	for i := range vals {
+		vals[i] = int64(rng.Uint64() >> rng.IntN(64))
+	}
+	baseline := runtime.NumGoroutine()
+	for _, procs := range []int{1, 4, 8, 0} {
+		for _, m := range []int{0, 1, tailPiece - 1, tailPiece, 2 * tailPiece, len(vals)} {
+			var want strings.Builder
+			dw := newDecimalWriter(&want, make([]byte, 0, 1<<15))
+			if dw.write(vals[:m]) != nil || dw.flush() != nil {
+				t.Fatal("write to a strings.Builder failed")
+			}
+			for _, n := range []int64{math.MaxInt64, 10} {
+				var got strings.Builder
+				if err := writeLinesOrdered(context.Background(), &got, vals[:m], n, procs); err != nil {
+					t.Fatal(err)
+				}
+				if got.String() != want.String() {
+					t.Errorf("procs %d, %d values, n %d: output differs from decimalWriter's", procs, m, n)
+				}
+			}
+		}
+		fw := &flakyWriter{ok: 2}
+		if err := writeLinesOrdered(context.Background(), fw, vals, math.MaxInt64, procs); err == nil || fw.writes != 3 {
+			t.Errorf("procs %d: failing writer: err %v after %d writes, want an error after 3", procs, err, fw.writes)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		fw = &flakyWriter{ok: len(vals)}
+		if err := writeLinesOrdered(ctx, fw, vals, math.MaxInt64, procs); !errors.Is(err, context.Canceled) || fw.writes != 0 {
+			t.Errorf("procs %d: canceled context: err %v after %d writes, want context.Canceled after 0", procs, err, fw.writes)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d, baseline %d — a formatting helper outlived its call", runtime.NumGoroutine(), baseline)
+		}
+	}
+}
+
 // BenchmarkDecimalWriter measures the served path's encoder alone: a
 // 64Ki-value page formatted into io.Discard through a 32 KiB page, for
-// 13-digit values (a 2^40 domain, the chunk-warm benchmark's request)
-// and 7-digit values.
+// 13-digit values (a 2^40 domain, the chunk-warm benchmark's request),
+// 7-digit values, and values uniform in [0, 10^6) — mixed lengths,
+// cluster-cold's value range.
 func BenchmarkDecimalWriter(b *testing.B) {
-	for _, digits := range []int{13, 7} {
-		b.Run(fmt.Sprintf("digits=%d", digits), func(b *testing.B) {
-			lo := int64(math.Pow10(digits - 1))
+	for _, tc := range []struct {
+		name   string
+		lo, hi int64 // values uniform in [lo, hi)
+	}{
+		{"digits=13", 1e12, 1e13},
+		{"digits=7", 1e6, 1e7},
+		{"uniform=1e6", 0, 1e6},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
 			rng := rand.New(rand.NewPCG(3, 4))
 			vals := make([]int64, 1<<16)
+			var text int64
 			for i := range vals {
-				vals[i] = lo + rng.Int64N(9*lo)
+				vals[i] = tc.lo + rng.Int64N(tc.hi-tc.lo)
+				text += int64(len(strconv.FormatInt(vals[i], 10)) + 1)
 			}
 			dw := newDecimalWriter(io.Discard, make([]byte, 0, 1<<15))
-			b.SetBytes(int64(len(vals)) * int64(digits+1))
+			b.SetBytes(text)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if dw.write(vals) != nil || dw.flush() != nil {
