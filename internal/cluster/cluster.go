@@ -51,19 +51,18 @@
 package cluster
 
 import (
-	"container/list"
 	"fmt"
 	"net/http"
 	"runtime"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"randperm/internal/commat"
 	"randperm/internal/core"
 	"randperm/internal/engine"
 	"randperm/internal/events"
+	"randperm/internal/lru"
 	"randperm/internal/metrics"
 )
 
@@ -128,9 +127,7 @@ type Node struct {
 	client *http.Client
 	health *health
 
-	mu     sync.Mutex
-	shards map[shardKey]*list.Element // value: *shardEntry
-	lru    *list.List                 // front = most recently used
+	shards *lru.Cache[shardKey, *Shard]
 
 	// met holds the node's metric families, printed on the permd
 	// /metrics page; its counters are also /v1/cluster/status's. The
@@ -173,8 +170,7 @@ func New(cfg Config) (*Node, error) {
 		cfg:    cfg,
 		client: &http.Client{Timeout: 60 * time.Second},
 		health: newHealth(len(cfg.Peers)),
-		shards: make(map[shardKey]*list.Element),
-		lru:    list.New(),
+		shards: lru.New[shardKey, *Shard](cfg.MaxShards, nil),
 	}
 	nd.declareMetrics()
 	nd.health.onChange = func(k int, from, to peerState) {
@@ -353,69 +349,20 @@ type Shard struct {
 	Vals       []int64
 }
 
-// shardEntry is one cache slot with single-flight construction,
-// mirroring the service handle cache: racing requests share one build.
-type shardEntry struct {
-	key   shardKey
-	once  sync.Once
-	sh    *Shard
-	err   error
-	built atomic.Bool // set after once.Do completes
-}
-
-// shard returns the cached shard for (slot, n, seed), building it
-// (once, shared across racing callers) on a miss. Build failures are
-// not cached.
+// shard returns the cached shard for (slot, n, seed), building it on
+// a miss: racing callers share one build, and a failed build is not
+// cached.
 func (nd *Node) shard(slot int, n int64, seed uint64) (*Shard, error) {
-	key := shardKey{slot: slot, n: n, seed: seed}
-	nd.mu.Lock()
-	var e *shardEntry
-	if el, ok := nd.shards[key]; ok {
-		nd.lru.MoveToFront(el)
-		e = el.Value.(*shardEntry)
-	} else {
-		e = &shardEntry{key: key}
-		nd.shards[key] = nd.lru.PushFront(e)
-		for nd.lru.Len() > nd.cfg.MaxShards {
-			oldest := nd.lru.Back()
-			nd.lru.Remove(oldest)
-			delete(nd.shards, oldest.Value.(*shardEntry).key)
-		}
-	}
-	nd.mu.Unlock()
-
-	e.once.Do(func() {
+	sh, _, err := nd.shards.Get(shardKey{slot: slot, n: n, seed: seed}, func() (*Shard, error) {
 		began := time.Now()
-		e.sh, e.err = nd.buildShard(slot, n, seed)
-		if e.err == nil {
+		sh, err := nd.buildShard(slot, n, seed)
+		if err == nil {
 			nd.shardBuilds.Add(1)
 			nd.shardBuildNs.Add(time.Since(began).Nanoseconds())
 		}
-		e.built.Store(true)
+		return sh, err
 	})
-	if e.err != nil {
-		nd.mu.Lock()
-		if el, ok := nd.shards[key]; ok && el.Value.(*shardEntry) == e {
-			nd.lru.Remove(el)
-			delete(nd.shards, key)
-		}
-		nd.mu.Unlock()
-		return nil, e.err
-	}
-	return e.sh, nil
-}
-
-// shardResident reports whether the (slot, n, seed) shard is built,
-// without building it. An entry that is still mid-build reports false.
-func (nd *Node) shardResident(slot int, n int64, seed uint64) bool {
-	nd.mu.Lock()
-	el, ok := nd.shards[shardKey{slot: slot, n: n, seed: seed}]
-	nd.mu.Unlock()
-	if !ok {
-		return false
-	}
-	e := el.Value.(*shardEntry)
-	return e.built.Load() && e.err == nil
+	return sh, err
 }
 
 // buildShard runs the three rounds for slot's shard of the (seed, n)

@@ -272,17 +272,29 @@ func TestPeerEndpointGuards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := func(h http.Handler, url string) int {
+	rec := func(h http.Handler, url string) (int, string) {
 		w := httptest.NewRecorder()
 		h.ServeHTTP(w, httptest.NewRequest("GET", url, nil))
-		return w.Code
+		return w.Code, w.Body.String()
 	}
 	for _, url := range []string{
 		"/v1/cluster/exchange?n=1000000&seed=1&p=8&nodes=2&to=1",
 		"/v1/cluster/chunk?n=1000000&seed=1&start=0&len=1",
 	} {
-		if code := rec(bounded.Handler(), url); code != http.StatusBadRequest {
+		if code, _ := rec(bounded.Handler(), url); code != http.StatusBadRequest {
 			t.Errorf("%s on a MaxN=1000 node: status %d, want 400", url, code)
+		}
+	}
+	// Negative values parse but are refused, naming the parameter.
+	for _, url := range []string{
+		"/v1/cluster/chunk?n=-5&seed=1&start=0&len=1",
+		"/v1/cluster/chunk?n=100&seed=1&start=-1&len=1",
+		"/v1/cluster/chunk?n=100&seed=1&start=0&len=-1",
+		"/v1/cluster/exchange?n=-5&seed=1&p=8&nodes=2&from=0&to=1",
+	} {
+		code, body := rec(nds[0].Handler(), url)
+		if code != http.StatusBadRequest || strings.Contains(body, "<nil>") {
+			t.Errorf("%s: status %d, body %q; want 400 naming the parameter", url, code, body)
 		}
 	}
 	// Overflowing len must be a 416, not a slice panic.

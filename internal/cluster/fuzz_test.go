@@ -1,16 +1,22 @@
-// Native fuzz target for the round-2 exchange decoder — the one parser
-// in the cluster that reads bytes a peer chose. CI runs it for a short
+// Native fuzz targets for the cluster's two parsers of peer input: the
+// round-2 exchange decoder, which reads bytes a peer chose, and the
+// query parsing of the peer-facing endpoints. CI runs each for a short
 // -fuzztime as a smoke pass; longer local runs:
 //
 //	go test -run='^$' -fuzz=FuzzDecodeExchange -fuzztime=60s ./internal/cluster
+//	go test -run='^$' -fuzz=FuzzPeerQuery -fuzztime=60s ./internal/cluster
 package cluster
 
 import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"regexp"
 	"runtime"
+	"strconv"
 	"testing"
 
 	"randperm/internal/commat"
@@ -140,6 +146,49 @@ func FuzzDecodeExchange(f *testing.F) {
 		}
 		if len(body) != len(valid) || !bytes.Equal(body[:exchangeHeaderLen], valid[:exchangeHeaderLen]) {
 			t.Fatalf("accepted a body with different framing (%d bytes, valid leg %d)", len(body), len(valid))
+		}
+	})
+}
+
+// namesParam matches how every 400 of the peer endpoints names the
+// query parameter at fault.
+var namesParam = regexp.MustCompile(`(missing|bad) (n|seed|start|len|from|to)\b|\bn=\d+ exceeds`)
+
+// FuzzPeerQuery drives arbitrary query values into /v1/cluster/chunk
+// and /v1/cluster/exchange of a one-node cluster, which makes no
+// network calls. Neither endpoint may panic or answer 5xx; a 400 names
+// the parameter and never formats a nil error; a 200 chunk body is
+// exactly 8·len bytes.
+func FuzzPeerQuery(f *testing.F) {
+	nd, err := New(Config{Peers: []string{"http://n0"}, Procs: 4, MaxN: 64})
+	if err != nil {
+		f.Fatal(err)
+	}
+	h := nd.Handler()
+	f.Add("64", "1", "0", "64", "0", "0")
+	f.Add("10", "7", "3", "5", "0", "0")
+	f.Add("-5", "1", "-1", "-1", "-1", "1")
+	f.Add("65", "x", "", "9223372036854775807", "9223372036854775807", "")
+	f.Add("0", "18446744073709551615", "0", "0", "00", "+0")
+	f.Fuzz(func(t *testing.T, n, seed, start, length, from, to string) {
+		chunk := url.Values{"n": {n}, "seed": {seed}, "start": {start}, "len": {length}}
+		exchange := url.Values{"n": {n}, "seed": {seed}, "p": {"4"}, "nodes": {"1"}, "from": {from}, "to": {to}}
+		for i, u := range []string{"/v1/cluster/chunk?" + chunk.Encode(), "/v1/cluster/exchange?" + exchange.Encode()} {
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, httptest.NewRequest("GET", u, nil))
+			body := w.Body.String()
+			switch {
+			case w.Code >= 500:
+				t.Fatalf("%s: status %d: %s", u, w.Code, body)
+			case w.Code == http.StatusBadRequest:
+				if !namesParam.MatchString(body) || bytes.Contains(w.Body.Bytes(), []byte("<nil>")) {
+					t.Fatalf("%s: 400 body %q does not name a parameter", u, body)
+				}
+			case w.Code == http.StatusOK && i == 0:
+				if l, err := strconv.ParseInt(length, 10, 64); err != nil || int64(w.Body.Len()) != 8*l {
+					t.Fatalf("%s: 200 with %d body bytes", u, w.Body.Len())
+				}
+			}
 		}
 	})
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"slices"
 	"strconv"
 	"strings"
@@ -166,31 +167,52 @@ func (nd *Node) Handler() http.Handler {
 	})
 }
 
-// queryInt64 parses a required decimal query parameter.
-func queryInt64(r *http.Request, name string) (int64, error) {
-	v := r.URL.Query().Get(name)
+// queryInt64 parses a required non-negative decimal query parameter;
+// an error names the parameter and the value it got.
+func queryInt64(q url.Values, name string) (int64, error) {
+	v := q.Get(name)
 	if v == "" {
 		return 0, fmt.Errorf("missing %s", name)
 	}
 	x, err := strconv.ParseInt(v, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad %s=%q: want a decimal integer", name, v)
+	if err != nil || x < 0 {
+		return 0, fmt.Errorf("bad %s=%q: want a non-negative decimal integer", name, v)
 	}
 	return x, nil
+}
+
+// querySeed parses the required seed query parameter.
+func querySeed(q url.Values) (uint64, error) {
+	v := q.Get("seed")
+	seed, err := strconv.ParseUint(v, 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("bad seed=%q: want a decimal uint64", v)
+	}
+	return seed, nil
 }
 
 // queryN parses and gates the domain size of a peer request: the
 // peer-facing endpoints must not accept work the public API would
 // refuse (Config.MaxN).
-func (nd *Node) queryN(r *http.Request) (int64, error) {
-	n, err := queryInt64(r, "n")
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("bad n: %v", err)
+func (nd *Node) queryN(q url.Values) (int64, error) {
+	n, err := queryInt64(q, "n")
+	if err != nil {
+		return 0, err
 	}
 	if nd.cfg.MaxN > 0 && n > nd.cfg.MaxN {
 		return 0, fmt.Errorf("n=%d exceeds this node's bound %d", n, nd.cfg.MaxN)
 	}
 	return n, nil
+}
+
+// querySlot parses the shard slot named by a from or to query
+// parameter.
+func (nd *Node) querySlot(q url.Values, name string) (int, error) {
+	k, err := queryInt64(q, name)
+	if err != nil || k >= int64(len(nd.cfg.Peers)) {
+		return 0, fmt.Errorf("bad %s=%q: want a shard slot in [0, %d)", name, q.Get(name), len(nd.cfg.Peers))
+	}
+	return int(k), nil
 }
 
 // handleExchange serves round 2 to one requesting peer: the label
@@ -216,14 +238,14 @@ func (nd *Node) queryN(r *http.Request) (int64, error) {
 func (nd *Node) handleExchange(w http.ResponseWriter, r *http.Request) {
 	nd.exchangeReqs.Add(1)
 	q := r.URL.Query()
-	n, err := nd.queryN(r)
+	n, err := nd.queryN(q)
 	if err != nil {
 		http.Error(w, fmt.Sprintf("cluster: %v", err), http.StatusBadRequest)
 		return
 	}
-	seed, err := strconv.ParseUint(q.Get("seed"), 10, 64)
+	seed, err := querySeed(q)
 	if err != nil {
-		http.Error(w, fmt.Sprintf("cluster: bad seed %q", q.Get("seed")), http.StatusBadRequest)
+		http.Error(w, fmt.Sprintf("cluster: %v", err), http.StatusBadRequest)
 		return
 	}
 	// Config echo: a requester with a different width or layout gets a
@@ -237,20 +259,18 @@ func (nd *Node) handleExchange(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("cluster: cluster size mismatch: peer nodes=%s, this node nodes=%d", nv, len(nd.cfg.Peers)), http.StatusConflict)
 		return
 	}
-	from64, err := queryInt64(r, "from")
-	from := int(from64)
-	if err != nil || from < 0 || from >= len(nd.cfg.Peers) {
-		http.Error(w, fmt.Sprintf("cluster: bad from=%q: want a shard slot in [0, %d)", q.Get("from"), len(nd.cfg.Peers)), http.StatusBadRequest)
+	from, err := nd.querySlot(q, "from")
+	if err != nil {
+		http.Error(w, fmt.Sprintf("cluster: %v", err), http.StatusBadRequest)
 		return
 	}
 	if !nd.hasDuty(nd.cfg.Self, from) {
 		http.Error(w, fmt.Sprintf("cluster: this node does not replicate source slot %d (replicas=%d)", from, nd.cfg.Replicas), http.StatusForbidden)
 		return
 	}
-	to64, err := queryInt64(r, "to")
-	to := int(to64)
-	if err != nil || to < 0 || to >= len(nd.cfg.Peers) {
-		http.Error(w, fmt.Sprintf("cluster: bad to=%q: want a shard slot in [0, %d)", q.Get("to"), len(nd.cfg.Peers)), http.StatusBadRequest)
+	to, err := nd.querySlot(q, "to")
+	if err != nil {
+		http.Error(w, fmt.Sprintf("cluster: %v", err), http.StatusBadRequest)
 		return
 	}
 
@@ -473,24 +493,25 @@ func decodeExchange(body io.Reader, leg exchangeLeg, a *commat.Matrix, dst func(
 // impossible by construction.
 func (nd *Node) handleChunk(w http.ResponseWriter, r *http.Request) {
 	nd.chunkReqs.Add(1)
-	n, err := nd.queryN(r)
+	q := r.URL.Query()
+	n, err := nd.queryN(q)
 	if err != nil {
 		http.Error(w, fmt.Sprintf("cluster: %v", err), http.StatusBadRequest)
 		return
 	}
-	seed, err := strconv.ParseUint(r.URL.Query().Get("seed"), 10, 64)
+	seed, err := querySeed(q)
 	if err != nil {
-		http.Error(w, fmt.Sprintf("cluster: bad seed %q", r.URL.Query().Get("seed")), http.StatusBadRequest)
+		http.Error(w, fmt.Sprintf("cluster: %v", err), http.StatusBadRequest)
 		return
 	}
-	start, err := queryInt64(r, "start")
-	if err != nil || start < 0 {
-		http.Error(w, fmt.Sprintf("cluster: bad start: %v", err), http.StatusBadRequest)
+	start, err := queryInt64(q, "start")
+	if err != nil {
+		http.Error(w, fmt.Sprintf("cluster: %v", err), http.StatusBadRequest)
 		return
 	}
-	length, err := queryInt64(r, "len")
-	if err != nil || length < 0 {
-		http.Error(w, fmt.Sprintf("cluster: bad len: %v", err), http.StatusBadRequest)
+	length, err := queryInt64(q, "len")
+	if err != nil {
+		http.Error(w, fmt.Sprintf("cluster: %v", err), http.StatusBadRequest)
 		return
 	}
 	// Find the replicated slot containing the range. length is compared
@@ -686,16 +707,9 @@ func (nd *Node) handleStatus(w http.ResponseWriter, r *http.Request) {
 		End   int64  `json:"end"`
 	}
 	var resident []shardInfo
-	nd.mu.Lock()
-	for el := nd.lru.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*shardEntry)
-		if e.built.Load() && e.err == nil {
-			resident = append(resident, shardInfo{
-				Slot: e.key.slot, N: e.key.n, Seed: e.key.seed, Start: e.sh.Start, End: e.sh.End,
-			})
-		}
+	for k, sh := range nd.shards.All() {
+		resident = append(resident, shardInfo{Slot: k.slot, N: k.n, Seed: k.seed, Start: sh.Start, End: sh.End})
 	}
-	nd.mu.Unlock()
 	states := nd.health.snapshot()
 	peerHealth := make([]string, len(states))
 	for k, s := range states {

@@ -80,9 +80,9 @@ var ErrGeometryMismatch = errors.New("cluster: geometry mismatch")
 func (nd *Node) handleJoin(w http.ResponseWriter, r *http.Request) {
 	nd.joinReqs.Add(1)
 	q := r.URL.Query()
-	node64, err := queryInt64(r, "node")
+	node64, err := queryInt64(q, "node")
 	node := int(node64)
-	if err != nil || node < 0 || node >= len(nd.cfg.Peers) {
+	if err != nil || node >= len(nd.cfg.Peers) {
 		http.Error(w, fmt.Sprintf("cluster: bad node=%q: want an index in [0, %d)", q.Get("node"), len(nd.cfg.Peers)), http.StatusBadRequest)
 		return
 	}

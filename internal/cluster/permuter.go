@@ -192,7 +192,7 @@ func (p *Permuter) Materialized() bool {
 		return true
 	}
 	for _, slot := range p.nd.duties(p.nd.cfg.Self) {
-		if !p.nd.shardResident(slot, p.n, p.seed) {
+		if _, ok := p.nd.shards.Peek(shardKey{slot: slot, n: p.n, seed: p.seed}); !ok {
 			return false
 		}
 	}

@@ -122,21 +122,6 @@ func TestCheckPermutation(t *testing.T) {
 	}
 }
 
-func TestParseMatrixAlg(t *testing.T) {
-	for _, s := range []string{"seq", "log", "opt"} {
-		a, err := ParseMatrixAlg(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.String() != s {
-			t.Fatalf("roundtrip %q -> %q", s, a.String())
-		}
-	}
-	if _, err := ParseMatrixAlg("nope"); err == nil {
-		t.Fatal("bad name accepted")
-	}
-}
-
 func TestPermuteProducesPermutation(t *testing.T) {
 	for _, alg := range []MatrixAlg{MatrixSeq, MatrixLog, MatrixOpt} {
 		for _, p := range []int{1, 2, 3, 4, 5, 7, 8, 13, 16} {

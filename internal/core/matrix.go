@@ -42,19 +42,6 @@ func (a MatrixAlg) String() string {
 	}
 }
 
-// ParseMatrixAlg converts a flag value into a MatrixAlg.
-func ParseMatrixAlg(s string) (MatrixAlg, error) {
-	switch s {
-	case "seq":
-		return MatrixSeq, nil
-	case "log":
-		return MatrixLog, nil
-	case "opt":
-		return MatrixOpt, nil
-	}
-	return 0, fmt.Errorf("core: unknown matrix algorithm %q (want seq, log or opt)", s)
-}
-
 // SampleRow runs the selected matrix sampling algorithm on the calling
 // processor and returns this processor's row of the communication matrix:
 // row[j] items travel from block Rank() to target block j. Every

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"sort"
 
+	"randperm/internal/core"
 	"randperm/internal/xrand"
 )
 
@@ -367,7 +368,7 @@ func PermuteSliceBijective[T any](data []T, chunks int, opt Options) ([]T, error
 	n := int64(len(data))
 	bij := newBijectionOpt(n, opt)
 	out := make([]T, n)
-	sizes := evenBlocks(n, chunks)
+	sizes := core.EvenBlocks(n, chunks)
 	off := make([]int64, chunks+1)
 	for c, s := range sizes {
 		off[c+1] = off[c] + s
@@ -410,7 +411,7 @@ func PermuteBlocksBijective[T any](in [][]T, outSizes []int64, opt Options) ([][
 	}
 	bij := newBijectionOpt(n, opt)
 	out := make([]T, n)
-	sizes := evenBlocks(n, p)
+	sizes := core.EvenBlocks(n, p)
 	off := make([]int64, p+1)
 	for c, s := range sizes {
 		off[c+1] = off[c] + s

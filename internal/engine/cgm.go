@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 
+	"randperm/internal/core"
 	"randperm/internal/xrand"
 )
 
@@ -83,7 +84,7 @@ func PermuteSliceCGM[T any](data []T, p int, opt Options) ([]T, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("engine: CGM decomposition needs p >= 1, got %d", p)
 	}
-	sizes := evenBlocks(int64(len(data)), p)
+	sizes := core.EvenBlocks(int64(len(data)), p)
 	blocks := make([][]T, p)
 	var off int64
 	for i, s := range sizes {

@@ -3,6 +3,7 @@ package engine
 import (
 	"testing"
 
+	"randperm/internal/core"
 	"randperm/internal/stats"
 	"randperm/internal/xrand"
 )
@@ -64,7 +65,7 @@ func TestPermuteSliceCGMMatchesBlockedPermute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sizes := evenBlocks(n, p)
+	sizes := core.EvenBlocks(n, p)
 	blocks := make([][]int64, p)
 	var off int64
 	for i, s := range sizes {

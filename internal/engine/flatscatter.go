@@ -3,6 +3,7 @@ package engine
 import (
 	"math/bits"
 
+	"randperm/internal/core"
 	"randperm/internal/xrand"
 )
 
@@ -65,7 +66,7 @@ func permuteFlat[T any](data []T, chunks int, opt Options, cutoff, maxK int) ([]
 
 	// Phase 1: i.i.d. bucket labels, generated per chunk so chunks can
 	// run in parallel; counts[c][b] is the communication matrix.
-	chunkSizes := evenBlocks(int64(n), chunks)
+	chunkSizes := core.EvenBlocks(int64(n), chunks)
 	chunkOff := make([]int64, chunks)
 	var run int64
 	for c, s := range chunkSizes {

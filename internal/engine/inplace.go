@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"randperm/internal/core"
 	"randperm/internal/xrand"
 )
 
@@ -59,7 +60,7 @@ func ShuffleInPlace[T any](data []T, blocks int, opt Options) error {
 	// (not workers) keeps the output independent of the worker schedule.
 	streams := xrand.NewStreams(opt.Seed, 2*b-1)
 
-	sizes := evenBlocks(int64(n), b)
+	sizes := core.EvenBlocks(int64(n), b)
 	off := make([]int, b+1)
 	for i, s := range sizes {
 		off[i+1] = off[i] + int(s)

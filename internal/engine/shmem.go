@@ -233,17 +233,3 @@ func scatterStarts(a *commat.Matrix, colOff []int64) [][]int64 {
 	}
 	return starts
 }
-
-// evenBlocks splits n items into p sizes as evenly as possible, the same
-// layout as core.EvenBlocks (which this package cannot import).
-func evenBlocks(n int64, p int) []int64 {
-	sizes := make([]int64, p)
-	base, rem := n/int64(p), n%int64(p)
-	for i := range sizes {
-		sizes[i] = base
-		if int64(i) < rem {
-			sizes[i]++
-		}
-	}
-	return sizes
-}

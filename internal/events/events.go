@@ -28,6 +28,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -207,11 +208,7 @@ func ParseFilter(s string) (TypeSet, error) {
 	}
 	var ts TypeSet
 	for {
-		name, rest := s, ""
-		more := false
-		if i := indexByte(s, ','); i >= 0 {
-			name, rest, more = s[:i], s[i+1:], true
-		}
+		name, rest, more := strings.Cut(s, ",")
 		t, err := ParseType(name) // rejects "", so ",", "a,", ",a" all fail
 		if err != nil {
 			return 0, err
@@ -222,16 +219,6 @@ func ParseFilter(s string) (TypeSet, error) {
 		}
 		s = rest
 	}
-}
-
-// indexByte avoids importing strings for one call site.
-func indexByte(s string, c byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == c {
-			return i
-		}
-	}
-	return -1
 }
 
 // ErrSubscriberLimit is returned by Subscribe when the bus already has

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"container/list"
 	"fmt"
 	"math"
 	"net"
@@ -10,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"randperm/internal/lru"
 )
 
 // The multi-tenant admission layer: per-client token buckets metered in
@@ -167,13 +168,11 @@ type quotas struct {
 	cfg QuotaConfig
 	now func() time.Time // injectable clock for tests
 
-	mu      sync.Mutex
-	buckets map[string]*list.Element // value: *bucket
-	lru     *list.List               // front = most recently used
+	mu      sync.Mutex // makes each refill and debit one step
+	buckets *lru.Cache[string, *bucket]
 }
 
 type bucket struct {
-	key    string
 	spec   QuotaSpec
 	tokens float64
 	last   time.Time
@@ -186,8 +185,7 @@ func newQuotas(cfg QuotaConfig) *quotas {
 	return &quotas{
 		cfg:     cfg,
 		now:     time.Now,
-		buckets: make(map[string]*list.Element),
-		lru:     list.New(),
+		buckets: lru.New[string, *bucket](cfg.MaxClients, nil),
 	}
 }
 
@@ -211,19 +209,9 @@ func (q *quotas) take(key string, cost int64) (ok bool, retryAfter time.Duration
 	now := q.now()
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	var b *bucket
-	if el, hit := q.buckets[key]; hit {
-		q.lru.MoveToFront(el)
-		b = el.Value.(*bucket)
-	} else {
-		b = &bucket{key: key, spec: spec, tokens: float64(spec.Burst), last: now}
-		q.buckets[key] = q.lru.PushFront(b)
-		for q.lru.Len() > q.cfg.MaxClients {
-			oldest := q.lru.Back()
-			q.lru.Remove(oldest)
-			delete(q.buckets, oldest.Value.(*bucket).key)
-		}
-	}
+	b, _, _ := q.buckets.Get(key, func() (*bucket, error) {
+		return &bucket{spec: spec, tokens: float64(spec.Burst), last: now}, nil
+	})
 	if dt := now.Sub(b.last).Seconds(); dt > 0 {
 		b.tokens = min(float64(b.spec.Burst), b.tokens+dt*b.spec.Rate)
 	}
@@ -242,11 +230,7 @@ func (q *quotas) take(key string, cost int64) (ok bool, retryAfter time.Duration
 
 // len reports how many client buckets are resident (the
 // permd_quota_clients gauge).
-func (q *quotas) len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.lru.Len()
-}
+func (q *quotas) len() int { return q.buckets.Len() }
 
 // clientKey identifies the requesting client for quota accounting: the
 // cooperative X-Permd-Client header when present, else the remote

@@ -64,6 +64,7 @@ import (
 	"randperm"
 	"randperm/internal/cluster"
 	"randperm/internal/events"
+	"randperm/internal/lru"
 	"randperm/internal/workload"
 )
 
@@ -217,7 +218,7 @@ type Server struct {
 	defBackend randperm.Backend
 	met        instruments
 	bus        *events.Bus // the live-operations spine (events.go)
-	cache      *handleCache
+	cache      *lru.Cache[handleKey, *handleEntry]
 	quota      *quotas       // nil when Config.Quota is disabled
 	buildSem   chan struct{} // materialization slots (admission.go)
 	bufs       sync.Pool     // *[]int64 of length cfg.MaxChunk
@@ -227,8 +228,7 @@ type Server struct {
 	clusterRanges atomic.Int64 // serveClusterRange calls in flight
 
 	// Epoch key-derivation memos for /v1/epochs (workload.go).
-	epochersMu sync.Mutex
-	epochers   map[epocherKey]*workload.Epocher
+	epochers *lru.Cache[epocherKey, *workload.Epocher]
 }
 
 // New builds a Server from cfg (zero value fine; see Config defaults).
@@ -243,7 +243,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:        cfg,
 		defBackend: def,
 		mux:        http.NewServeMux(),
-		epochers:   make(map[epocherKey]*workload.Epocher),
+		epochers:   lru.New[epocherKey, *workload.Epocher](maxEpochers, nil),
 	}
 	s.bus = events.NewBus(events.Options{
 		Buffer:         cfg.Events.Buffer,
@@ -271,7 +271,7 @@ func New(cfg Config) (*Server, error) {
 		s.mux.Handle("/v1/cluster/", s.node.Handler())
 	}
 	s.declareMetrics()
-	s.cache = newHandleCache(cfg.MaxHandles, s.buildHandle, func(key handleKey) {
+	s.cache = lru.New[handleKey, *handleEntry](cfg.MaxHandles, func(key handleKey) {
 		s.publishCounted(s.met.cacheEvictions, keyEvent(events.TypeCacheEvict, key))
 	})
 	s.bufs.New = func() any {
@@ -345,13 +345,13 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// buildHandle is the cache's single-flight constructor: the one place a
-// Permuter is made, so the materialization-counting hook is registered
-// before any request can share the handle. In cluster mode a
-// backend=cluster handle is this node's cluster.Permuter.
-func (s *Server) buildHandle(key handleKey) (handle, error) {
+// buildHandle is the handle cache's build: the one place a Permuter
+// is made, so the materialization-counting hook is registered before
+// any request can share the handle. In cluster mode a backend=cluster
+// handle is this node's cluster.Permuter.
+func (s *Server) buildHandle(key handleKey) (*handleEntry, error) {
 	if key.backend == randperm.BackendCluster && s.node != nil {
-		return s.node.Permuter(key.n, key.seed), nil
+		return &handleEntry{key: key, pm: s.node.Permuter(key.n, key.seed)}, nil
 	}
 	pm, err := randperm.NewPermuter(key.n, randperm.Options{
 		Procs:   s.cfg.Procs,
@@ -364,7 +364,7 @@ func (s *Server) buildHandle(key handleKey) (handle, error) {
 	pm.OnMaterialize(func() {
 		s.publishCounted(s.met.materializations, keyEvent(events.TypeMaterialization, key))
 	})
-	return pm, nil
+	return &handleEntry{key: key, pm: pm}, nil
 }
 
 // httpError answers with a plain-text error and counts it.
@@ -442,7 +442,7 @@ func (s *Server) permuterFor(w http.ResponseWriter, r *http.Request) (e *handleE
 // request event. It answers the error itself when it returns ok ==
 // false.
 func (s *Server) resolve(w http.ResponseWriter, r *http.Request, key handleKey) (*handleEntry, bool) {
-	e, hit, err := s.cache.get(key)
+	e, hit, err := s.cache.Get(key, func() (*handleEntry, error) { return s.buildHandle(key) })
 	outcome, c := "miss", s.met.cacheMisses
 	if hit {
 		outcome, c = "hit", s.met.cacheHits
@@ -1140,7 +1140,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	body := map[string]any{
 		"status":          "ok",
 		"procs":           s.cfg.Procs,
-		"handles":         s.cache.len(),
+		"handles":         s.cache.Len(),
 		"max_handles":     s.cfg.MaxHandles,
 		"max_n":           s.cfg.MaxN,
 		"max_chunk":       s.cfg.MaxChunk,

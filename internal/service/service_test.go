@@ -19,6 +19,7 @@ import (
 
 	"randperm"
 	"randperm/internal/events"
+	"randperm/internal/lru"
 )
 
 func newTestServer(t *testing.T, cfg Config) *Server {
@@ -698,18 +699,19 @@ func TestCacheEviction(t *testing.T) {
 // key; the next request retries and can succeed.
 func TestCacheErrorNotCached(t *testing.T) {
 	calls := 0
-	c := newHandleCache(4, func(k handleKey) (handle, error) {
+	c := lru.New[handleKey, handle](4, nil)
+	key := handleKey{n: 10, seed: 1, backend: randperm.BackendBijective}
+	build := func() (handle, error) {
 		calls++
 		if calls == 1 {
 			return nil, errors.New("transient")
 		}
-		return randperm.NewPermuter(k.n, randperm.Options{Seed: k.seed, Backend: k.backend})
-	}, func(handleKey) {})
-	key := handleKey{n: 10, seed: 1, backend: randperm.BackendBijective}
-	if _, _, err := c.get(key); err == nil {
+		return randperm.NewPermuter(key.n, randperm.Options{Seed: key.seed, Backend: key.backend})
+	}
+	if _, _, err := c.Get(key, build); err == nil {
 		t.Fatal("want error from first build")
 	}
-	if _, _, err := c.get(key); err != nil {
+	if _, _, err := c.Get(key, build); err != nil {
 		t.Fatalf("second build should retry and succeed, got %v", err)
 	}
 	if calls != 2 {

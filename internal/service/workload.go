@@ -23,10 +23,9 @@ import (
 // count, chunk boundaries, or request order.
 
 // maxEpochers bounds the per-(seed, mode) key-derivation memos the
-// server keeps. Eviction only forgets derivations — keys are pure
-// functions of (seed, epoch, mode) and are re-derived on next touch —
-// so the map is dropped wholesale when full rather than tracked by
-// recency.
+// server keeps, least recently used evicted first. Eviction only
+// forgets derivations: keys are pure functions of (seed, epoch, mode)
+// and are re-derived on next touch.
 const maxEpochers = 64
 
 type epocherKey struct {
@@ -36,17 +35,9 @@ type epocherKey struct {
 
 // epocher returns the (cached) key deriver for (seed, mode).
 func (s *Server) epocher(seed uint64, mode workload.EpochMode) *workload.Epocher {
-	k := epocherKey{seed: seed, mode: mode}
-	s.epochersMu.Lock()
-	defer s.epochersMu.Unlock()
-	if e, ok := s.epochers[k]; ok {
-		return e
-	}
-	if len(s.epochers) >= maxEpochers {
-		clear(s.epochers)
-	}
-	e := workload.NewEpocher(seed, mode)
-	s.epochers[k] = e
+	e, _, _ := s.epochers.Get(epocherKey{seed: seed, mode: mode}, func() (*workload.Epocher, error) {
+		return workload.NewEpocher(seed, mode), nil
+	})
 	return e
 }
 

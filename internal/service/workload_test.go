@@ -186,14 +186,26 @@ func TestEpocherMemoEviction(t *testing.T) {
 	for seed := uint64(1); seed <= maxEpochers+5; seed++ {
 		s.epocher(seed, workload.EpochFresh)
 	}
-	s.epochersMu.Lock()
-	size := len(s.epochers)
-	s.epochersMu.Unlock()
-	if size > maxEpochers {
+	if size := s.epochers.Len(); size > maxEpochers {
 		t.Errorf("epocher memo grew to %d, bound %d", size, maxEpochers)
 	}
 	if again := s.epocher(0, workload.EpochFresh).Key(3); again != first {
 		t.Errorf("re-derived key %#x differs from pre-eviction key %#x", again, first)
+	}
+}
+
+// TestEpocherMemoKeepsHot: the memo evicts least recently used, so a
+// deriver touched between every cold one survives any number of them
+// and keeps its progress — the same *workload.Epocher, not a fresh one.
+func TestEpocherMemoKeepsHot(t *testing.T) {
+	s := newTestServer(t, Config{})
+	hot := s.epocher(0, workload.EpochRecycled)
+	for seed := uint64(1); seed <= maxEpochers+5; seed++ {
+		s.epocher(seed, workload.EpochFresh)
+		s.epocher(0, workload.EpochRecycled)
+	}
+	if again := s.epocher(0, workload.EpochRecycled); again != hot {
+		t.Error("hot epoch deriver was evicted by colder ones")
 	}
 }
 

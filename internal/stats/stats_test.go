@@ -181,38 +181,6 @@ func TestTotalVariation(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4})
-	if s.N != 4 || s.Mean != 2.5 || s.Min != 1 || s.Max != 4 {
-		t.Fatalf("summary %+v", s)
-	}
-	want := math.Sqrt((2.25 + 0.25 + 0.25 + 2.25) / 3)
-	if math.Abs(s.Std-want) > 1e-12 {
-		t.Fatalf("std = %g, want %g", s.Std, want)
-	}
-	if z := Summarize(nil); z.N != 0 {
-		t.Fatal("empty summary")
-	}
-}
-
-func TestMeanMaxInt64(t *testing.T) {
-	if MeanInt64([]int64{1, 2, 3}) != 2 {
-		t.Fatal("mean wrong")
-	}
-	if MeanInt64(nil) != 0 {
-		t.Fatal("empty mean")
-	}
-	if MaxInt64([]int64{3, 9, 1}) != 9 {
-		t.Fatal("max wrong")
-	}
-	if MaxInt64(nil) != 0 {
-		t.Fatal("empty max")
-	}
-	if MaxInt64([]int64{-5, -2}) != -2 {
-		t.Fatal("negative max")
-	}
-}
-
 func TestBinCells(t *testing.T) {
 	obs := []int64{1, 1, 50, 50, 1, 1}
 	probs := []float64{0.01, 0.01, 0.48, 0.48, 0.01, 0.01}

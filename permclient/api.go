@@ -1,7 +1,6 @@
 package permclient
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -93,7 +92,8 @@ func (c *Client) At(ctx context.Context, seed uint64, n, i int64, opts ...Opt) (
 // stops serving it.
 func (c *Client) hedged(ctx context.Context, path string) ([]byte, error) {
 	if c.cfg.HedgeAfter <= 0 {
-		return c.once(ctx, path)
+		_, body, err := c.do(ctx, http.MethodGet, path, nil, "")
+		return body, err
 	}
 	hctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -103,7 +103,7 @@ func (c *Client) hedged(ctx context.Context, path string) ([]byte, error) {
 	}
 	results := make(chan result, 2)
 	launch := func() {
-		body, err := c.once(hctx, path)
+		_, body, err := c.do(hctx, http.MethodGet, path, nil, "")
 		results <- result{body, err}
 	}
 	go launch()
@@ -133,35 +133,34 @@ func (c *Client) hedged(ctx context.Context, path string) ([]byte, error) {
 // error, or when the consumer breaks; breaking mid-page abandons the
 // remaining pages unfetched.
 func (c *Client) Stream(ctx context.Context, seed uint64, n, start int64, opts ...Opt) iter.Seq2[int64, error] {
-	o := applyOpts(opts)
+	return c.pages(n, start, func(pos, length int64) ([]int64, error) {
+		return c.Chunk(ctx, seed, n, pos, length, opts...)
+	})
+}
+
+// pages is the one pager behind Stream and EpochStream: it yields the
+// values of [start, n) fetched by page(pos, length) in Config.PageSize
+// requests, stopping at the end of the domain, at the first error, or
+// when the consumer breaks.
+func (c *Client) pages(n, start int64, page func(pos, length int64) ([]int64, error)) iter.Seq2[int64, error] {
 	return func(yield func(int64, error) bool) {
-		pos := start
-		for pos < n {
-			length := min(n-pos, int64(c.cfg.PageSize))
-			page, err := c.Chunk(ctx, seed, n, pos, length, optsFor(o)...)
+		for pos := start; pos < n; {
+			vals, err := page(pos, min(n-pos, int64(c.cfg.PageSize)))
+			if err == nil && len(vals) == 0 {
+				err = fmt.Errorf("permclient: empty page at %d of [0, %d)", pos, n)
+			}
 			if err != nil {
 				yield(0, err)
 				return
 			}
-			if len(page) == 0 {
-				yield(0, fmt.Errorf("permclient: empty page at %d of [0, %d)", pos, n))
-				return
-			}
-			for _, v := range page {
+			for _, v := range vals {
 				if !yield(v, nil) {
 					return
 				}
 			}
-			pos += int64(len(page))
+			pos += int64(len(vals))
 		}
 	}
-}
-
-func optsFor(o callOpts) []Opt {
-	if o.backend == "" {
-		return nil
-	}
-	return []Opt{WithBackend(o.backend)}
 }
 
 // Shuffle returns lines in exactly-uniform random order under
@@ -180,23 +179,12 @@ func (c *Client) Shuffle(ctx context.Context, seed uint64, lines []string, opts 
 	}
 	var out []string
 	err = c.retry(ctx, func() error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-			c.cfg.BaseURL+"/v1/shuffle?"+q.Encode(), bytes.NewReader(payload))
+		_, body, err := c.do(ctx, http.MethodPost, "/v1/shuffle?"+q.Encode(), payload, "application/json")
 		if err != nil {
 			return err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		c.decorate(req)
-		resp, err := c.cfg.HTTPClient.Do(req)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return apiError(resp)
 		}
 		out = out[:0]
-		return json.NewDecoder(resp.Body).Decode(&out)
+		return json.Unmarshal(body, &out)
 	})
 	if err != nil {
 		return nil, err

@@ -23,6 +23,7 @@
 package permclient
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -167,7 +168,7 @@ func (c *Client) get(ctx context.Context, path string) ([]byte, error) {
 	var body []byte
 	err := c.retry(ctx, func() error {
 		var err error
-		body, err = c.once(ctx, path)
+		_, body, err = c.do(ctx, http.MethodGet, path, nil, "")
 		return err
 	})
 	return body, err
@@ -209,22 +210,32 @@ func retryable(err error) bool {
 	return !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
 }
 
-// once runs exactly one GET, mapping non-2xx onto *APIError.
-func (c *Client) once(ctx context.Context, path string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.cfg.BaseURL+path, nil)
+// do runs exactly one request and returns the response header and
+// whole body, mapping non-2xx onto *APIError. body, when non-nil, is
+// sent with the given content type.
+func (c *Client) do(ctx context.Context, method, path string, body []byte, contentType string) (http.Header, []byte, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, c.cfg.BaseURL+path, rd)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
 	}
 	c.decorate(req)
 	resp, err := c.cfg.HTTPClient.Do(req)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, apiError(resp)
+		return nil, nil, apiError(resp)
 	}
-	return io.ReadAll(resp.Body)
+	b, err := io.ReadAll(resp.Body)
+	return resp.Header, b, err
 }
 
 func (c *Client) decorate(req *http.Request) {

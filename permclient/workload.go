@@ -3,7 +3,6 @@ package permclient
 import (
 	"context"
 	"fmt"
-	"io"
 	"iter"
 	"net/http"
 	"net/url"
@@ -55,20 +54,7 @@ func (c *Client) Assign(ctx context.Context, seed uint64, n, id int64, spec stri
 	path := "/v1/assign?" + q.Encode()
 	var a Assignment
 	err := c.retry(ctx, func() error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.cfg.BaseURL+path, nil)
-		if err != nil {
-			return err
-		}
-		c.decorate(req)
-		resp, err := c.cfg.HTTPClient.Do(req)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return apiError(resp)
-		}
-		body, err := io.ReadAll(resp.Body)
+		header, body, err := c.do(ctx, http.MethodGet, path, nil, "")
 		if err != nil {
 			return err
 		}
@@ -76,9 +62,9 @@ func (c *Client) Assign(ctx context.Context, seed uint64, n, id int64, spec stri
 		if a.Bucket == "" {
 			return fmt.Errorf("permclient: empty bucket name in /v1/assign response")
 		}
-		idx, err := strconv.Atoi(resp.Header.Get("Permd-Bucket"))
+		idx, err := strconv.Atoi(header.Get("Permd-Bucket"))
 		if err != nil {
-			return fmt.Errorf("permclient: bad Permd-Bucket header %q: %v", resp.Header.Get("Permd-Bucket"), err)
+			return fmt.Errorf("permclient: bad Permd-Bucket header %q: %v", header.Get("Permd-Bucket"), err)
 		}
 		a.Index = idx
 		return nil
@@ -95,14 +81,7 @@ func (c *Client) Assign(ctx context.Context, seed uint64, n, id int64, spec stri
 // WithRecycled for recycled-sequence derivation. For ranges beyond
 // one server page, prefer EpochStream.
 func (c *Client) Epoch(ctx context.Context, seed uint64, n, epoch, start, length int64, opts ...Opt) ([]int64, error) {
-	body, err := c.get(ctx, c.epochPath(seed, n, epoch, start, length, applyOpts(opts)))
-	if err != nil {
-		return nil, err
-	}
-	return parseLines(body)
-}
-
-func (c *Client) epochPath(seed uint64, n, epoch, start, length int64, o callOpts) string {
+	o := applyOpts(opts)
 	q := url.Values{}
 	q.Set("seed", strconv.FormatUint(seed, 10))
 	q.Set("n", strconv.FormatInt(n, 10))
@@ -115,7 +94,11 @@ func (c *Client) epochPath(seed uint64, n, epoch, start, length int64, o callOpt
 	if o.backend != "" {
 		q.Set("backend", o.backend)
 	}
-	return "/v1/epochs?" + q.Encode()
+	body, err := c.get(ctx, "/v1/epochs?"+q.Encode())
+	if err != nil {
+		return nil, err
+	}
+	return parseLines(body)
 }
 
 // EpochStream returns an iterator over π_e(start), π_e(start+1), ...
@@ -125,30 +108,7 @@ func (c *Client) epochPath(seed uint64, n, epoch, start, length int64, o callOpt
 // Iteration stops at the end of the dataset, at the first yield of a
 // non-nil error, or when the consumer breaks.
 func (c *Client) EpochStream(ctx context.Context, seed uint64, n, epoch, start int64, opts ...Opt) iter.Seq2[int64, error] {
-	o := applyOpts(opts)
-	return func(yield func(int64, error) bool) {
-		pos := start
-		for pos < n {
-			length := min(n-pos, int64(c.cfg.PageSize))
-			body, err := c.get(ctx, c.epochPath(seed, n, epoch, pos, length, o))
-			var page []int64
-			if err == nil {
-				page, err = parseLines(body)
-			}
-			if err != nil {
-				yield(0, err)
-				return
-			}
-			if len(page) == 0 {
-				yield(0, fmt.Errorf("permclient: empty epoch page at %d of [0, %d)", pos, n))
-				return
-			}
-			for _, v := range page {
-				if !yield(v, nil) {
-					return
-				}
-			}
-			pos += int64(len(page))
-		}
-	}
+	return c.pages(n, start, func(pos, length int64) ([]int64, error) {
+		return c.Epoch(ctx, seed, n, epoch, pos, length, opts...)
+	})
 }
