@@ -146,6 +146,34 @@ func BenchmarkPermuterChunk(b *testing.B) {
 	}
 }
 
+// BenchmarkMaterialize measures the build layer of a materialized
+// handle: one Permuter build of n = 2^20 positions per op, a fresh seed
+// each time, as a handle cache pays it on every miss. B/op is the
+// build's whole footprint: the stored permutation plus the engine's
+// scratch.
+func BenchmarkMaterialize(b *testing.B) {
+	const n = 1 << 20
+	for _, backend := range []randperm.Backend{
+		randperm.BackendSim, randperm.BackendSharedMem,
+		randperm.BackendInPlace, randperm.BackendCluster,
+	} {
+		b.Run(backend.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				pm, err := randperm.NewPermuter(n, randperm.Options{
+					Procs: 8, Seed: uint64(i), Backend: backend,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := pm.Materialize(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkE4Matrix covers Theorem 2: the three matrix sampling
 // strategies across machine sizes.
 func BenchmarkE4Matrix(b *testing.B) {

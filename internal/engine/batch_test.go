@@ -49,6 +49,14 @@ func insideOutSerialRef[T any](rng *xrand.Xoshiro256, src, dst []T) {
 	}
 }
 
+// insideOut is flatShuffle's small-input path on a slice: the items
+// copied in order, then foldIn from position 1. It writes the same bytes
+// as the inside-out Fisher-Yates of insideOutSerialRef from the same
+// draws.
+func insideOut[T any](rng *xrand.Xoshiro256, src, dst []T) {
+	foldIn(rng, dst[:copy(dst, src)], 1)
+}
+
 // mergeShuffleSerialRef is the pre-batch mergeShuffle: identical merge
 // phases, rng.Intn insertion tail.
 func mergeShuffleSerialRef[T any](rng *xrand.Xoshiro256, a []T, mid int) {

@@ -85,12 +85,23 @@ func PermuteSliceCGM[T any](data []T, p int, opt Options) ([]T, error) {
 		return nil, fmt.Errorf("engine: CGM decomposition needs p >= 1, got %d", p)
 	}
 	sizes := core.EvenBlocks(int64(len(data)), p)
-	blocks := make([][]T, p)
-	var off int64
-	for i, s := range sizes {
-		blocks[i] = data[off : off+s : off+s]
-		off += s
+	return permute(splitBlocks(data, sizes), sizes, opt)
+}
+
+// permuteCGMIota is PermuteSliceCGM over the identity of [0, n) without
+// the identity: source block i is the index range starting at off[i],
+// routed by routeIota. Its output equals PermuteSliceCGM(identity) byte
+// for byte.
+func permuteCGMIota[T int32 | int64](n, p int, opt Options) ([]T, error) {
+	if p < 1 {
+		return nil, fmt.Errorf("engine: CGM decomposition needs p >= 1, got %d", p)
 	}
-	flat, _, err := permute(blocks, sizes, opt)
-	return flat, err
+	sizes := core.EvenBlocks(int64(n), p)
+	off := make([]int64, p)
+	for i := 1; i < p; i++ {
+		off[i] = off[i-1] + sizes[i-1]
+	}
+	return scatterBlocks(int64(n), sizes, sizes, opt, func(i int, rng *xrand.Xoshiro256, row, starts []int64, flat []T) {
+		routeIota(rng, off[i], row, starts, flat)
+	})
 }

@@ -114,3 +114,37 @@ func ParseBackend(s string) (Backend, bool) {
 	}
 	return 0, false
 }
+
+// PermuteIota returns the permutation of [0, n) that backend b computes
+// with decomposition width p — exactly the bytes of PermuteSlice,
+// PermuteSliceInPlace or PermuteSliceCGM over the identity with the
+// same options — built from the indexes themselves: the scatter
+// backends write each item's index where the slice forms read the item,
+// so no identity is allocated or copied, and T = int32 stores a
+// position in 4 bytes whenever n fits. Sim and Bijective have no index
+// build.
+func PermuteIota[T int32 | int64](b Backend, n, p int, opt Options) ([]T, error) {
+	switch b {
+	case SharedMem:
+		if p <= 0 {
+			p = defaultChunks
+		}
+		return permuteFlatIota[T](n, p, opt, fyCutoff, maxBuckets)
+	case InPlace:
+		out := Iota[T](n)
+		if err := ShuffleInPlace(out, p, opt); err != nil {
+			return nil, err
+		}
+		return out, nil
+	case Cluster:
+		return permuteCGMIota[T](n, p, opt)
+	}
+	return nil, fmt.Errorf("engine: no index build on backend %v", b)
+}
+
+// Iota returns the identity 0, 1, ..., n-1.
+func Iota[T int32 | int64](n int) []T {
+	out := make([]T, n)
+	fillIota(out)
+	return out
+}

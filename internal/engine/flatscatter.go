@@ -44,16 +44,56 @@ const (
 // cutoff/maxK are fyCutoff/maxBuckets, parameterized so tests can force
 // deep recursion on tiny inputs.
 func permuteFlat[T any](data []T, chunks int, opt Options, cutoff, maxK int) ([]T, error) {
-	n := len(data)
+	return flatShuffle(len(data), chunks, opt, cutoff, maxK,
+		func(out []T) { copy(out, data) },
+		func(out []T, lo int64, lab []uint8, start *[maxBuckets]int64) {
+			f := *start
+			for i, v := range data[lo : lo+int64(len(lab))] {
+				b := lab[i]
+				out[f[b]] = v
+				f[b]++
+			}
+		})
+}
+
+// permuteFlatIota is permuteFlat over the identity of [0, n) without
+// the identity: every item's value is its index, so the scatter writes
+// the index where permuteFlat reads the item. Its output equals
+// permuteFlat(identity) byte for byte.
+func permuteFlatIota[T int32 | int64](n, chunks int, opt Options, cutoff, maxK int) ([]T, error) {
+	return flatShuffle(n, chunks, opt, cutoff, maxK,
+		fillIota[T],
+		func(out []T, lo int64, lab []uint8, start *[maxBuckets]int64) {
+			f := *start
+			for i, b := range lab {
+				out[f[b]] = T(lo + int64(i))
+				f[b]++
+			}
+		})
+}
+
+// flatShuffle is the data-independent frame of the flat scatter: it
+// samples the labels, turns their counts into write offsets and refines
+// the buckets, and leaves the two item kernels to the caller. load
+// fills out with the items in input order (the small-input path);
+// scatter moves the items of the chunk starting at input position lo,
+// whose labels are lab, to their buckets' write offsets start[label]
+// onward. The kernels run once per chunk, so only their own loops touch
+// items.
+func flatShuffle[T any](n, chunks int, opt Options, cutoff, maxK int,
+	load func(out []T),
+	scatter func(out []T, lo int64, lab []uint8, start *[maxBuckets]int64),
+) ([]T, error) {
 	if chunks < 1 {
 		chunks = 1
 	}
 
+	out := make([]T, n)
 	if n <= cutoffLimit(cutoff) {
-		// Too small to be worth scattering: one fused copy+shuffle.
-		streams := xrand.NewStreams(opt.Seed, 1)
-		out := make([]T, n)
-		insideOut(streams[0], data, out)
+		// Too small to be worth scattering: one forward Fisher-Yates
+		// pass over the items in input order.
+		load(out)
+		foldIn(xrand.NewStreams(opt.Seed, 1)[0], out, 1)
 		return out, nil
 	}
 
@@ -91,11 +131,11 @@ func permuteFlat[T any](data []T, chunks int, opt Options, cutoff, maxK int) ([]
 			bucketStart[b+1] += counts[c][b]
 		}
 	}
-	fill := make([][]int64, chunks)
+	fill := make([][maxBuckets]int64, chunks)
 	{
 		next := append([]int64(nil), bucketStart[:k]...)
 		for c := 0; c < chunks; c++ {
-			fill[c] = append([]int64(nil), next...)
+			copy(fill[c][:], next)
 			for b := 0; b < k; b++ {
 				next[b] += counts[c][b]
 			}
@@ -104,21 +144,15 @@ func permuteFlat[T any](data []T, chunks int, opt Options, cutoff, maxK int) ([]
 
 	// Phase 3: scatter. Each (chunk, bucket) range is owned by exactly
 	// one chunk, so concurrent writes never overlap. The per-chunk fill
-	// cursors are copied into a fixed 256-slot array so the uint8 label
-	// indexes it bounds-check-free; writes to each bucket's range stay
-	// sequential (one cache-line-friendly stream per bucket), which is
-	// what keeps the scatter prefetchable by the hardware stride
-	// prefetchers despite the random bucket choice per item.
-	out := make([]T, n)
+	// cursors are a fixed 256-slot array so the uint8 label indexes it
+	// bounds-check-free; each kernel advances its own copy, held in its
+	// frame (through the pointer the loop runs several times slower).
+	// Writes to each bucket's range stay sequential (one
+	// cache-line-friendly stream per bucket), which is what keeps the
+	// scatter prefetchable by the hardware stride prefetchers despite
+	// the random bucket choice per item.
 	if err := pool.For(chunks, func(c int) {
-		var f [maxBuckets]int64
-		copy(f[:], fill[c])
-		lab := labels[chunkOff[c] : chunkOff[c]+chunkSizes[c]]
-		for i, v := range data[chunkOff[c] : chunkOff[c]+chunkSizes[c]] {
-			b := lab[i]
-			out[f[b]] = v
-			f[b]++
-		}
+		scatter(out, chunkOff[c], labels[chunkOff[c]:chunkOff[c]+chunkSizes[c]], &fill[c])
 	}); err != nil {
 		return nil, err
 	}
@@ -216,30 +250,25 @@ func refine[T any](rng *xrand.Xoshiro256, seg []T, cutoff, maxK int) {
 	}
 }
 
-// insideOut writes a uniformly shuffled copy of src into dst (inside-out
-// Fisher-Yates, fusing the copy with the shuffle): dst[i] takes the
-// value displaced from a uniform position j <= i, so src is untouched.
-// Like shuffleX it runs on block-prefetched raw words, consuming them in
-// exact stream order — including Intn's power-of-two mask special case,
-// so the output stays byte-identical to the per-draw reference.
-func insideOut[T any](rng *xrand.Xoshiro256, src, dst []T) {
-	if len(src) == 0 {
-		return
-	}
-	dst[0] = src[0]
+// foldIn extends the uniformly shuffled prefix a[:i] to all of a by
+// forward Fisher-Yates insertion: a[i] swaps with a uniform position
+// k <= i, for i ascending. It runs on block-prefetched raw words,
+// consuming them in the exact order rng.Intn would (including its
+// power-of-two mask special case), so the output stays byte-identical to
+// the per-draw reference.
+func foldIn[T any](rng *xrand.Xoshiro256, a []T, i int) {
 	var buf [fyBatch]uint64
-	i := 1
-	for i < len(src) {
-		have := min(fyBatch, len(src)-i)
+	for i < len(a) {
+		have := min(fyBatch, len(a)-i)
 		rng.Fill(buf[:have])
 		used := 0
 		for used < have {
 			bound := uint64(i + 1)
 			w := buf[used]
 			used++
-			var j int
+			var k int
 			if bound&(bound-1) == 0 {
-				j = int(w & (bound - 1))
+				k = int(w & (bound - 1))
 			} else {
 				hi, lo := bits.Mul64(w, bound)
 				if lo < bound {
@@ -253,11 +282,17 @@ func insideOut[T any](rng *xrand.Xoshiro256, src, dst []T) {
 						used++
 					}
 				}
-				j = int(hi)
+				k = int(hi)
 			}
-			dst[i] = dst[j]
-			dst[j] = src[i]
+			a[i], a[k] = a[k], a[i]
 			i++
 		}
+	}
+}
+
+// fillIota writes the identity 0, 1, ..., len(a)-1 into a.
+func fillIota[T int32 | int64](a []T) {
+	for i := range a {
+		a[i] = T(i)
 	}
 }

@@ -180,41 +180,9 @@ func mergeShuffle[T any](rng *xrand.Xoshiro256, a []T, mid int) {
 		}
 		i++
 	}
-	// The survivors are folded in by forward Fisher-Yates insertion on
-	// block-prefetched words, consuming the stream in the exact order
-	// rng.Intn would (including its power-of-two mask special case), so
-	// the merge stays byte-identical to the per-draw reference.
-	var buf [fyBatch]uint64
-	for i < len(a) {
-		have := min(fyBatch, len(a)-i)
-		rng.Fill(buf[:have])
-		used := 0
-		for used < have {
-			bound := uint64(i + 1)
-			w := buf[used]
-			used++
-			var k int
-			if bound&(bound-1) == 0 {
-				k = int(w & (bound - 1))
-			} else {
-				hi, lo := bits.Mul64(w, bound)
-				if lo < bound {
-					thresh := -bound % bound
-					for lo < thresh {
-						if used == have {
-							rng.Fill(buf[:1])
-							used, have = 0, 1
-						}
-						hi, lo = bits.Mul64(buf[used], bound)
-						used++
-					}
-				}
-				k = int(hi)
-			}
-			a[i], a[k] = a[k], a[i]
-			i++
-		}
-	}
+	// The survivors sit contiguously at a[i:], a uniform prefix a[:i]
+	// before them.
+	foldIn(rng, a, i)
 }
 
 // ceilPow2 rounds n up to the next power of two (minimum 1).

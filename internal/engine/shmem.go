@@ -58,8 +58,11 @@ func (o Options) workers() int {
 // freshly allocated backing slice. The result is deterministic in
 // (Seed, block layout) and independent of Options.Workers.
 func PermuteBlocks[T any](in [][]T, outSizes []int64, opt Options) ([][]T, error) {
-	_, out, err := permute(in, outSizes, opt)
-	return out, err
+	flat, err := permute(in, outSizes, opt)
+	if err != nil {
+		return nil, err
+	}
+	return splitBlocks(flat, outSizes), nil
 }
 
 // defaultChunks is the label-chunk count PermuteSlice falls back to: a
@@ -83,18 +86,32 @@ func PermuteSlice[T any](data []T, chunks int, opt Options) ([]T, error) {
 	return permuteFlat(data, chunks, opt, fyCutoff, maxBuckets)
 }
 
-// permute is the shared implementation: it returns both the flat backing
-// slice and its partition into target blocks.
-func permute[T any](in [][]T, outSizes []int64, opt Options) ([]T, [][]T, error) {
+// permute is the shared implementation: it returns the flat backing
+// slice, laid out in target-block order.
+func permute[T any](in [][]T, outSizes []int64, opt Options) ([]T, error) {
 	n, err := blockTotals(in, outSizes)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	p, pp := len(in), len(outSizes)
-	rowM := make([]int64, p)
+	rowM := make([]int64, len(in))
 	for i, b := range in {
 		rowM[i] = int64(len(b))
 	}
+	return scatterBlocks(n, rowM, outSizes, opt, func(i int, rng *xrand.Xoshiro256, row, starts []int64, flat []T) {
+		routeBlock(rng, in[i], row, starts, flat)
+	})
+}
+
+// scatterBlocks is the data-independent frame of permute: n items in
+// source blocks of sizes rowM are redistributed into target blocks of
+// sizes outSizes. route moves source block i's items into flat with
+// that block's stream, matrix row and write offsets (routeBlock or
+// routeIota); it runs once per source block, so only its own loop
+// touches items.
+func scatterBlocks[T any](n int64, rowM, outSizes []int64, opt Options,
+	route func(i int, rng *xrand.Xoshiro256, row, starts []int64, flat []T),
+) ([]T, error) {
+	p, pp := len(rowM), len(outSizes)
 
 	// Stream 0 samples the matrix; streams 1..p route the source
 	// blocks, streams p+1..p+pp shuffle the target blocks. Binding
@@ -124,22 +141,19 @@ func permute[T any](in [][]T, outSizes []int64, opt Options) ([]T, [][]T, error)
 	// routeBlock).
 	flat := make([]T, n)
 	if err := pool.For(p, func(i int) {
-		routeBlock(streams[1+i], in[i], a.Row(i), starts[i], flat)
+		route(i, streams[1+i], a.Row(i), starts[i], flat)
 	}); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	// Phase 3: uniform local permutation of each target block, mixing
 	// the contributions of all sources (the paper's phase 4).
-	out := make([][]T, pp)
 	if err := pool.For(pp, func(j int) {
-		blk := flat[colOff[j] : colOff[j]+outSizes[j] : colOff[j]+outSizes[j]]
-		shuffleX(streams[1+p+j], blk)
-		out[j] = blk
+		shuffleX(streams[1+p+j], flat[colOff[j]:colOff[j]+outSizes[j]])
 	}); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return flat, out, nil
+	return flat, nil
 }
 
 // routeBlock scatters the items of one source block into its disjoint
@@ -161,6 +175,18 @@ func routeBlock[T any](rng *xrand.Xoshiro256, src []T, row, starts []int64, flat
 	for i, v := range src {
 		j := labels[i]
 		flat[fill[j]] = v
+		fill[j]++
+	}
+}
+
+// routeIota is routeBlock for the source block of the identity that
+// starts at index off: it writes each item's index where routeBlock
+// reads the item, from the same draws.
+func routeIota[T int32 | int64](rng *xrand.Xoshiro256, off int64, row, starts []int64, flat []T) {
+	labels := ArrangeRow(rng, row)
+	fill := append([]int64(nil), starts...)
+	for i, j := range labels {
+		flat[fill[j]] = T(off + int64(i))
 		fill[j]++
 	}
 }

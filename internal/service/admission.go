@@ -22,8 +22,8 @@ import (
 // The gate exists because a materializing build is the one unbounded
 // cost a request can trigger: chunk serving streams through O(MaxChunk)
 // buffers and the quota layer bounds items served, but a cold handle on
-// sim/shmem/inplace/cluster costs O(n) work and 8n bytes the moment it
-// is touched. Without the gate, a burst of cold keys turns into an
+// sim/shmem/inplace/cluster costs O(n) work and 4n to 16n bytes the
+// moment it is touched. Without the gate, a burst of cold keys turns into an
 // unbounded number of concurrent n-word builds racing for the same
 // cores.
 

@@ -79,8 +79,8 @@ type Config struct {
 	// permutation is a function of (seed, n) alone).
 	Procs int
 	// MaxHandles caps the Permuter handle LRU (default 64). Each
-	// materialized handle for a size-n domain holds 8n bytes; bijective
-	// handles hold O(1).
+	// materialized handle for a size-n domain holds 4n bytes (8n for n
+	// above 2^31-1); bijective handles hold O(1).
 	MaxHandles int
 	// MaxN bounds n on every endpoint that materializes or iterates n
 	// items — /v1/perm/* on the materializing backends, /v1/shuffle and

@@ -227,61 +227,52 @@ func reportFrom(m *pro.Machine) Report {
 // populated on BackendSim, Procs-only on the other backends. The input
 // is not modified.
 func ParallelShuffle[T any](data []T, opt Options) ([]T, Report, error) {
-	return parallelShuffle(data, opt, nil)
-}
-
-// parallelShuffle is ParallelShuffle with an optional cancellation
-// channel threaded into the engine worker pools. It exists for
-// Permuter.MaterializeContext: a closed channel makes the engine stop
-// claiming tasks and the call return engine.ErrCanceled, which the
-// stream layer maps back onto the caller's context error. The Sim
-// backend has no pool and ignores cancellation (its runs are bounded by
-// the simulated machine's own size, not by n-word builds).
-func parallelShuffle[T any](data []T, opt Options, cancel <-chan struct{}) ([]T, Report, error) {
 	opt = opt.withDefaults()
 	if opt.Procs < 1 {
 		return nil, Report{}, fmt.Errorf("randperm: Procs must be positive, got %d", opt.Procs)
 	}
-	eopt := engine.Options{
-		Workers: opt.Parallelism,
-		Seed:    opt.Seed,
-		Cancel:  cancel,
-	}
+	eopt := opt.engineOptions(nil)
+	var out []T
+	var err error
 	switch opt.Backend {
 	case BackendSharedMem:
-		out, err := engine.PermuteSlice(data, opt.Procs, eopt)
-		if err != nil {
-			return nil, Report{}, err
-		}
-		return out, Report{Procs: opt.Procs}, nil
+		out, err = engine.PermuteSlice(data, opt.Procs, eopt)
 	case BackendInPlace:
-		out, err := engine.PermuteSliceInPlace(data, opt.Procs, eopt)
-		if err != nil {
-			return nil, Report{}, err
-		}
-		return out, Report{Procs: opt.Procs}, nil
+		out, err = engine.PermuteSliceInPlace(data, opt.Procs, eopt)
 	case BackendBijective:
-		eopt.Rounds = opt.Rounds
-		out, err := engine.PermuteSliceBijective(data, opt.Procs, eopt)
-		if err != nil {
-			return nil, Report{}, err
-		}
-		return out, Report{Procs: opt.Procs}, nil
+		out, err = engine.PermuteSliceBijective(data, opt.Procs, eopt)
 	case BackendCluster:
-		out, err := engine.PermuteSliceCGM(data, opt.Procs, eopt)
-		if err != nil {
+		out, err = engine.PermuteSliceCGM(data, opt.Procs, eopt)
+	default:
+		var m *pro.Machine
+		if out, m, err = core.PermuteSlice(data, opt.Procs, opt.coreConfig()); err != nil {
 			return nil, Report{}, err
 		}
-		return out, Report{Procs: opt.Procs}, nil
+		return out, reportFrom(m), nil
 	}
-	out, m, err := core.PermuteSlice(data, opt.Procs, core.Config{
-		Seed:   opt.Seed,
-		Matrix: opt.Matrix.internal(),
-	})
 	if err != nil {
 		return nil, Report{}, err
 	}
-	return out, reportFrom(m), nil
+	return out, Report{Procs: opt.Procs}, nil
+}
+
+// engineOptions maps opt onto the engine backends' options, with an
+// optional cancellation channel threaded into their worker pools: a
+// closed channel makes the engine stop claiming tasks and return
+// engine.ErrCanceled, which the stream layer maps back onto the
+// caller's context error.
+func (o Options) engineOptions(cancel <-chan struct{}) engine.Options {
+	return engine.Options{
+		Workers: o.Parallelism,
+		Seed:    o.Seed,
+		Rounds:  o.Rounds,
+		Cancel:  cancel,
+	}
+}
+
+// coreConfig maps opt onto the simulated machine's configuration.
+func (o Options) coreConfig() core.Config {
+	return core.Config{Seed: o.Seed, Matrix: o.Matrix.internal()}
 }
 
 // ParallelShuffleBlocks is the general form of Problem 1: the input
@@ -291,47 +282,30 @@ func parallelShuffle[T any](data []T, opt Options, cancel <-chan struct{}) ([]T,
 // likely.
 func ParallelShuffleBlocks[T any](blocks [][]T, targetSizes []int64, opt Options) ([][]T, Report, error) {
 	opt = opt.withDefaults()
+	eopt := opt.engineOptions(nil)
+	var out [][]T
+	var err error
 	switch opt.Backend {
 	case BackendSharedMem, BackendCluster:
 		// On BackendCluster the blocked form IS the cluster
 		// decomposition: prescribed margins, exact matrix, per-block
 		// streams — identical to the shared-memory scatter.
-		out, err := engine.PermuteBlocks(blocks, targetSizes, engine.Options{
-			Workers: opt.Parallelism,
-			Seed:    opt.Seed,
-		})
-		if err != nil {
-			return nil, Report{}, err
-		}
-		return out, Report{Procs: len(blocks)}, nil
+		out, err = engine.PermuteBlocks(blocks, targetSizes, eopt)
 	case BackendInPlace:
-		out, err := engine.PermuteBlocksInPlace(blocks, targetSizes, engine.Options{
-			Workers: opt.Parallelism,
-			Seed:    opt.Seed,
-		})
-		if err != nil {
-			return nil, Report{}, err
-		}
-		return out, Report{Procs: len(blocks)}, nil
+		out, err = engine.PermuteBlocksInPlace(blocks, targetSizes, eopt)
 	case BackendBijective:
-		out, err := engine.PermuteBlocksBijective(blocks, targetSizes, engine.Options{
-			Workers: opt.Parallelism,
-			Seed:    opt.Seed,
-			Rounds:  opt.Rounds,
-		})
-		if err != nil {
+		out, err = engine.PermuteBlocksBijective(blocks, targetSizes, eopt)
+	default:
+		var m *pro.Machine
+		if out, m, err = core.Permute(blocks, targetSizes, opt.coreConfig()); err != nil {
 			return nil, Report{}, err
 		}
-		return out, Report{Procs: len(blocks)}, nil
+		return out, reportFrom(m), nil
 	}
-	out, m, err := core.Permute(blocks, targetSizes, core.Config{
-		Seed:   opt.Seed,
-		Matrix: opt.Matrix.internal(),
-	})
 	if err != nil {
 		return nil, Report{}, err
 	}
-	return out, reportFrom(m), nil
+	return out, Report{Procs: len(blocks)}, nil
 }
 
 // EvenBlocks returns n split into p block sizes as evenly as possible,

@@ -4,9 +4,11 @@ import (
 	"context"
 	"fmt"
 	"iter"
+	"math"
 	"sync"
 	"sync/atomic"
 
+	"randperm/internal/core"
 	"randperm/internal/engine"
 )
 
@@ -25,10 +27,10 @@ import (
 // by any factor. On the materializing backends (Sim, SharedMem,
 // InPlace, Cluster) it holds one re-armable build: the full
 // permutation, constructed lazily on first use with the selected
-// backend's engine into one n-word buffer and reused by every
-// subsequent Chunk, Iter and At. Chunk validates the range and reads
-// from whichever backing the handle holds; At and Iter are Chunk
-// reads.
+// backend's engine into one buffer of n positions — 4 bytes each for
+// n <= 2^31-1, 8 above — and reused by every subsequent Chunk, Iter
+// and At. Chunk validates the range and reads from whichever backing
+// the handle holds; At and Iter are Chunk reads.
 //
 // Determinism: the permutation a Permuter exposes is a pure function of
 // (Backend, Seed, Procs, n) — on BackendBijective, of (Seed, Rounds, n),
@@ -71,10 +73,10 @@ func (p *Permuter) rekey(hook func()) {
 	p.lazy.mat.Store(&permMat{})
 }
 
-// lazySource serves the materializing backends from one n-word buffer,
-// built on first access by running the backend's engine over the
-// identity. It owns the re-armable build, the OnMaterialize hook and
-// the build's cancellation.
+// lazySource serves the materializing backends from one build of the
+// permutation, run on first access by the backend's engine straight
+// from the indexes (see materialize). It owns the re-armable build, the
+// OnMaterialize hook and the build's cancellation.
 type lazySource struct {
 	n    int64
 	opt  Options
@@ -86,17 +88,38 @@ type lazySource struct {
 // canceled build so the sync.Once can be re-armed.
 type permMat struct {
 	once  sync.Once
-	perm  []int64
+	perm  positions
 	err   error
 	built atomic.Bool // set after a successful build, for Materialized
 }
+
+// positions is a built permutation in its storage type: []int32 when
+// narrow(n), []int64 otherwise.
+type positions interface {
+	// read widens π(start), π(start+1), ... into all of dst; the
+	// range is in bounds.
+	read(dst []int64, start int64)
+}
+
+type posSlice[T int32 | int64] []T
+
+func (s posSlice[T]) read(dst []int64, start int64) {
+	for i, v := range s[start : start+int64(len(dst))] {
+		dst[i] = int64(v)
+	}
+}
+
+// narrow reports whether a build of n positions is stored in 4 bytes
+// per position: every value of π is below n.
+func narrow(n int64) bool { return n <= math.MaxInt32 }
 
 func (l *lazySource) chunk(dst []int64, start int64) (int, error) {
 	perm, err := l.build(context.Background())
 	if err != nil {
 		return 0, err
 	}
-	return copy(dst, perm[start:]), nil
+	perm.read(dst, start)
+	return len(dst), nil
 }
 
 func (l *lazySource) materialized() bool { return l.mat.Load().built.Load() }
@@ -107,14 +130,14 @@ func (l *lazySource) materialized() bool { return l.mat.Load().built.Load() }
 // swaps a fresh permMat into place so the next accessor retries instead
 // of replaying the error forever. The swap is a CompareAndSwap against
 // the permMat that ran the build, so a newer build is never clobbered.
-func (l *lazySource) build(ctx context.Context) ([]int64, error) {
+func (l *lazySource) build(ctx context.Context) (positions, error) {
 	m := l.mat.Load()
 	m.once.Do(func() {
-		id := make([]int64, l.n)
-		for i := range id {
-			id[i] = int64(i)
+		if narrow(l.n) {
+			m.perm, m.err = materialize[int32](l.n, l.opt, ctx.Done())
+		} else {
+			m.perm, m.err = materialize[int64](l.n, l.opt, ctx.Done())
 		}
-		m.perm, _, m.err = parallelShuffle(id, l.opt, ctx.Done())
 		if m.err != nil && ctx.Err() != nil {
 			m.err = fmt.Errorf("randperm: materialize: %w", ctx.Err())
 		}
@@ -130,10 +153,27 @@ func (l *lazySource) build(ctx context.Context) ([]int64, error) {
 	return m.perm, m.err
 }
 
+// materialize builds the permutation of [0, n) that ParallelShuffle of
+// the identity computes under opt, stored as T. Sim runs the simulated
+// machine over an identity of T; every other backend builds straight
+// from the indexes (engine.PermuteIota), which yields the same bytes
+// without allocating or copying an identity. cancel is threaded into
+// the engine worker pools; Sim has none and ignores it.
+func materialize[T int32 | int64](n int64, opt Options, cancel <-chan struct{}) (positions, error) {
+	var perm []T
+	var err error
+	if opt.Backend == BackendSim {
+		perm, _, err = core.PermuteSlice(engine.Iota[T](int(n)), opt.Procs, opt.coreConfig())
+	} else {
+		perm, err = engine.PermuteIota[T](opt.Backend.internal(), int(n), opt.Procs, opt.engineOptions(cancel))
+	}
+	return posSlice[T](perm), err
+}
+
 // NewPermuter validates the options and returns a handle on the
 // permutation of [0, n) they select. The call is cheap for every
 // backend: key expansion on BackendBijective, and nothing but
-// validation on the materializing backends, which defer their n-word
+// validation on the materializing backends, which defer their n-position
 // build to the first access. n must be non-negative, and on the
 // materializing backends must fit in memory when first accessed;
 // BackendBijective has no such bound (n up to 2^62 is meaningful).
@@ -257,15 +297,15 @@ func (p *Permuter) Reset(seed uint64) {
 // anything, and flips to true (until the next Reset) once any Chunk, At,
 // Iter or Materialize call on a materializing backend has completed the
 // one-time build. Long-lived holders — a handle cache in a server, say —
-// can use it to tell which cached handles are paying n words of memory
-// and which are still cheap.
+// can use it to tell which cached handles are paying n positions of
+// memory and which are still cheap.
 func (p *Permuter) Materialized() bool {
 	return p.lazy != nil && p.lazy.materialized()
 }
 
 // Materialize forces the lazy build now instead of on first access, and
 // reports its error. On BackendBijective it is a no-op returning nil.
-// Use it to front-load the n-word build at handle-construction time —
+// Use it to front-load the n-position build at handle-construction time —
 // warming a cache entry, or surfacing the out-of-memory error where it
 // can still be handled — rather than inside the first request that
 // touches the handle. Like the accessors, it is safe for concurrent use
@@ -275,7 +315,7 @@ func (p *Permuter) Materialize() error {
 }
 
 // MaterializeContext is Materialize bounded by a context: if ctx is
-// canceled while the n-word build is running, the engine worker pool
+// canceled while the n-position build is running, the engine worker pool
 // stops claiming tasks, the half-built permutation is discarded, and the
 // call returns ctx's error. A canceled build re-arms the handle — the
 // next access (or MaterializeContext call) starts a fresh build, exactly
