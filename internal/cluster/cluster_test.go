@@ -309,6 +309,58 @@ func TestPeerEndpointGuards(t *testing.T) {
 	}
 }
 
+// TestPeerGrammar pins the exact 400 body of each query fault on the
+// peer endpoints, which speak the public API's grammar (internal/query):
+// a missing, malformed, negative or over-MaxN value, and a slot or node
+// outside the cluster. The first fault is the one reported, and the
+// exchange's config echo (409) comes before any of them.
+func TestPeerGrammar(t *testing.T) {
+	nd, err := New(Config{Peers: []string{"http://n0", "http://n1"}, Procs: 4, MaxN: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const chunk, exchange = "/v1/cluster/chunk?", "/v1/cluster/exchange?p=4&nodes=2&"
+	const count = ": want a non-negative decimal integer"
+	for _, c := range []struct{ url, want string }{
+		{chunk + "seed=1&start=0&len=1", "missing n"},
+		{chunk + "n=x&seed=1&start=0&len=1", `bad n="x"` + count},
+		{chunk + "n=-5&seed=1&start=0&len=1", `bad n="-5"` + count},
+		{chunk + "n=65&seed=1&start=0&len=1", "n=65 exceeds this node's bound 64"},
+		{chunk + "n=10&start=0&len=1", "missing seed"},
+		{chunk + "n=10&seed=-1&start=0&len=1", `bad seed "-1": want a decimal uint64`},
+		{chunk + "n=10&seed=18446744073709551616&start=0&len=1", `bad seed "18446744073709551616": want a decimal uint64`},
+		{chunk + "n=10&seed=1&len=1", "missing start"},
+		{chunk + "n=10&seed=1&start=-1&len=1", `bad start="-1"` + count},
+		{chunk + "n=10&seed=1&start=0", "missing len"},
+		{chunk + "n=10&seed=1&start=0&len=9223372036854775808", `bad len="9223372036854775808"` + count},
+		{chunk + "n=x&seed=y&start=z", `bad n="x"` + count},
+		{exchange + "seed=1&from=0&to=1", "missing n"},
+		{exchange + "n=65&seed=1&from=0&to=1", "n=65 exceeds this node's bound 64"},
+		{exchange + "n=10&seed=x&from=0&to=1", `bad seed "x": want a decimal uint64`},
+		{exchange + "n=10&seed=1&to=1", "missing from"},
+		{exchange + "n=10&seed=1&from=-1&to=1", `bad from="-1"` + count},
+		{exchange + "n=10&seed=1&from=2&to=1", "bad from=2: want a shard slot in [0, 2)"},
+		{exchange + "n=10&seed=1&from=0", "missing to"},
+		{exchange + "n=10&seed=1&from=0&to=x", `bad to="x"` + count},
+		{exchange + "n=10&seed=1&from=0&to=2", "bad to=2: want a shard slot in [0, 2)"},
+		{"/v1/cluster/join?hash=h", "missing node"},
+		{"/v1/cluster/join?node=x", `bad node="x"` + count},
+		{"/v1/cluster/join?node=-1", `bad node="-1"` + count},
+		{"/v1/cluster/join?node=2", "bad node=2: want an index in [0, 2)"},
+	} {
+		w := httptest.NewRecorder()
+		nd.Handler().ServeHTTP(w, httptest.NewRequest("GET", c.url, nil))
+		if want := "cluster: " + c.want + "\n"; w.Code != http.StatusBadRequest || w.Body.String() != want {
+			t.Errorf("%s: %d %q, want 400 %q", c.url, w.Code, w.Body.String(), want)
+		}
+	}
+	w := httptest.NewRecorder()
+	nd.Handler().ServeHTTP(w, httptest.NewRequest("GET", "/v1/cluster/exchange?p=3&nodes=2&n=x", nil))
+	if w.Code != http.StatusConflict {
+		t.Errorf("width mismatch with a bad n: status %d, want 409", w.Code)
+	}
+}
+
 // TestChunkTrailingBytesRefused: a peer that answers a chunk request
 // with more values than asked is refused like a short one — a
 // *PeerError naming the peer and the chunk op — rather than read up to

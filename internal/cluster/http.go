@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"slices"
 	"strconv"
 	"strings"
@@ -19,6 +18,7 @@ import (
 	"randperm/internal/engine"
 	"randperm/internal/events"
 	"randperm/internal/metrics"
+	"randperm/internal/query"
 )
 
 // serveEvent records a hedge or failover decision on a routed read (or
@@ -167,52 +167,24 @@ func (nd *Node) Handler() http.Handler {
 	})
 }
 
-// queryInt64 parses a required non-negative decimal query parameter;
-// an error names the parameter and the value it got.
-func queryInt64(q url.Values, name string) (int64, error) {
-	v := q.Get(name)
-	if v == "" {
-		return 0, fmt.Errorf("missing %s", name)
-	}
-	x, err := strconv.ParseInt(v, 10, 64)
-	if err != nil || x < 0 {
-		return 0, fmt.Errorf("bad %s=%q: want a non-negative decimal integer", name, v)
-	}
-	return x, nil
-}
-
-// querySeed parses the required seed query parameter.
-func querySeed(q url.Values) (uint64, error) {
-	v := q.Get("seed")
-	seed, err := strconv.ParseUint(v, 10, 64)
+// refused answers rd's first fault, if it has one, as a 400 and
+// reports whether it did: the one place a peer handler refuses its
+// parameters.
+func refused(w http.ResponseWriter, rd *query.Reader) bool {
+	err := rd.Err()
 	if err != nil {
-		return 0, fmt.Errorf("bad seed=%q: want a decimal uint64", v)
+		http.Error(w, fmt.Sprintf("cluster: %v", err), http.StatusBadRequest)
 	}
-	return seed, nil
+	return err != nil
 }
 
-// queryN parses and gates the domain size of a peer request: the
-// peer-facing endpoints must not accept work the public API would
-// refuse (Config.MaxN).
-func (nd *Node) queryN(q url.Values) (int64, error) {
-	n, err := queryInt64(q, "n")
-	if err != nil {
-		return 0, err
-	}
-	if nd.cfg.MaxN > 0 && n > nd.cfg.MaxN {
-		return 0, fmt.Errorf("n=%d exceeds this node's bound %d", n, nd.cfg.MaxN)
-	}
-	return n, nil
-}
-
-// querySlot parses the shard slot named by a from or to query
-// parameter.
-func (nd *Node) querySlot(q url.Values, name string) (int, error) {
-	k, err := queryInt64(q, name)
-	if err != nil || k >= int64(len(nd.cfg.Peers)) {
-		return 0, fmt.Errorf("bad %s=%q: want a shard slot in [0, %d)", name, q.Get(name), len(nd.cfg.Peers))
-	}
-	return int(k), nil
+// identity reads the permutation a peer request names: n, gated by
+// Config.MaxN so the peer endpoints accept no work the public API
+// would refuse, and seed.
+func (nd *Node) identity(rd *query.Reader) (n int64, seed uint64) {
+	n = rd.Count(rd.Required("n"), 0)
+	rd.Check(nd.cfg.MaxN <= 0 || n <= nd.cfg.MaxN, "n=%d exceeds this node's bound %d", n, nd.cfg.MaxN)
+	return n, rd.Seed(rd.Required("seed"))
 }
 
 // handleExchange serves round 2 to one requesting peer: the label
@@ -238,16 +210,6 @@ func (nd *Node) querySlot(q url.Values, name string) (int, error) {
 func (nd *Node) handleExchange(w http.ResponseWriter, r *http.Request) {
 	nd.exchangeReqs.Add(1)
 	q := r.URL.Query()
-	n, err := nd.queryN(q)
-	if err != nil {
-		http.Error(w, fmt.Sprintf("cluster: %v", err), http.StatusBadRequest)
-		return
-	}
-	seed, err := querySeed(q)
-	if err != nil {
-		http.Error(w, fmt.Sprintf("cluster: %v", err), http.StatusBadRequest)
-		return
-	}
 	// Config echo: a requester with a different width or layout gets a
 	// conflict naming both values, the cluster's first line of defense
 	// against serving bytes from a different permutation.
@@ -255,32 +217,32 @@ func (nd *Node) handleExchange(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("cluster: decomposition width mismatch: peer p=%s, this node p=%d", pv, nd.cfg.Procs), http.StatusConflict)
 		return
 	}
-	if nv := q.Get("nodes"); nv != strconv.Itoa(len(nd.cfg.Peers)) {
-		http.Error(w, fmt.Sprintf("cluster: cluster size mismatch: peer nodes=%s, this node nodes=%d", nv, len(nd.cfg.Peers)), http.StatusConflict)
+	nodes := len(nd.cfg.Peers)
+	if nv := q.Get("nodes"); nv != strconv.Itoa(nodes) {
+		http.Error(w, fmt.Sprintf("cluster: cluster size mismatch: peer nodes=%s, this node nodes=%d", nv, nodes), http.StatusConflict)
 		return
 	}
-	from, err := nd.querySlot(q, "from")
-	if err != nil {
-		http.Error(w, fmt.Sprintf("cluster: %v", err), http.StatusBadRequest)
+	rd := query.New(q)
+	n, seed := nd.identity(rd)
+	from := rd.Count(rd.Required("from"), 0)
+	rd.Check(from < int64(nodes), "bad from=%d: want a shard slot in [0, %d)", from, nodes)
+	to := rd.Count(rd.Required("to"), 0)
+	rd.Check(to < int64(nodes), "bad to=%d: want a shard slot in [0, %d)", to, nodes)
+	if refused(w, rd) {
 		return
 	}
-	if !nd.hasDuty(nd.cfg.Self, from) {
+	if !nd.hasDuty(nd.cfg.Self, int(from)) {
 		http.Error(w, fmt.Sprintf("cluster: this node does not replicate source slot %d (replicas=%d)", from, nd.cfg.Replicas), http.StatusForbidden)
 		return
 	}
-	to, err := nd.querySlot(q, "to")
-	if err != nil {
-		http.Error(w, fmt.Sprintf("cluster: %v", err), http.StatusBadRequest)
-		return
-	}
 
-	leg := exchangeLeg{seed: seed, n: n, p: nd.cfg.Procs, nodes: len(nd.cfg.Peers), from: from, to: to}
+	leg := exchangeLeg{seed: seed, n: n, p: nd.cfg.Procs, nodes: nodes, from: int(from), to: int(to)}
 	sizes := core.EvenBlocks(n, leg.p)
 	off := blockOffsets(n, leg.p)
 	streams := engine.CGMStreams(seed, leg.p)
 	a := commat.SampleSeq(streams[0], sizes, sizes)
-	sLo, sHi := blockSpan(leg.p, leg.nodes, from) // the served source slot's blocks
-	tLo, tHi := blockSpan(leg.p, leg.nodes, to)   // the requested target slot's blocks
+	sLo, sHi := blockSpan(leg.p, leg.nodes, leg.from) // the served source slot's blocks
+	tLo, tHi := blockSpan(leg.p, leg.nodes, leg.to)   // the requested target slot's blocks
 
 	w.Header().Set("Content-Type", "application/octet-stream")
 	page := leg.appendHeader(make([]byte, 0, 1<<15))
@@ -493,25 +455,11 @@ func decodeExchange(body io.Reader, leg exchangeLeg, a *commat.Matrix, dst func(
 // impossible by construction.
 func (nd *Node) handleChunk(w http.ResponseWriter, r *http.Request) {
 	nd.chunkReqs.Add(1)
-	q := r.URL.Query()
-	n, err := nd.queryN(q)
-	if err != nil {
-		http.Error(w, fmt.Sprintf("cluster: %v", err), http.StatusBadRequest)
-		return
-	}
-	seed, err := querySeed(q)
-	if err != nil {
-		http.Error(w, fmt.Sprintf("cluster: %v", err), http.StatusBadRequest)
-		return
-	}
-	start, err := queryInt64(q, "start")
-	if err != nil {
-		http.Error(w, fmt.Sprintf("cluster: %v", err), http.StatusBadRequest)
-		return
-	}
-	length, err := queryInt64(q, "len")
-	if err != nil {
-		http.Error(w, fmt.Sprintf("cluster: %v", err), http.StatusBadRequest)
+	rd := query.New(r.URL.Query())
+	n, seed := nd.identity(rd)
+	start := rd.Count(rd.Required("start"), 0)
+	length := rd.Count(rd.Required("len"), 0)
+	if refused(w, rd) {
 		return
 	}
 	// Find the replicated slot containing the range. length is compared

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"randperm/internal/events"
+	"randperm/internal/query"
 )
 
 // publishJoin reports one handshake resolution: Detail "in" for a
@@ -79,18 +80,18 @@ var ErrGeometryMismatch = errors.New("cluster: geometry mismatch")
 // the joining node — the join IS the rejoin protocol.
 func (nd *Node) handleJoin(w http.ResponseWriter, r *http.Request) {
 	nd.joinReqs.Add(1)
-	q := r.URL.Query()
-	node64, err := queryInt64(q, "node")
-	node := int(node64)
-	if err != nil || node >= len(nd.cfg.Peers) {
-		http.Error(w, fmt.Sprintf("cluster: bad node=%q: want an index in [0, %d)", q.Get("node"), len(nd.cfg.Peers)), http.StatusBadRequest)
+	rd := query.New(r.URL.Query())
+	node64 := rd.Count(rd.Required("node"), 0)
+	rd.Check(node64 < int64(len(nd.cfg.Peers)), "bad node=%d: want an index in [0, %d)", node64, len(nd.cfg.Peers))
+	if refused(w, rd) {
 		return
 	}
+	node := int(node64)
 	g := nd.Geometry()
 	hash := g.Hash()
 	body := map[string]any{"node": nd.cfg.Self, "geometry": g, "hash": hash}
 	w.Header().Set("Content-Type", "application/json")
-	if got := q.Get("hash"); got != hash {
+	if got := rd.Get("hash"); got != hash {
 		nd.publishJoin(node, "in", "mismatch")
 		w.WriteHeader(http.StatusConflict)
 		json.NewEncoder(w).Encode(body)

@@ -19,13 +19,15 @@ import (
 // the engine's goroutines stop claiming tasks, the half-built
 // permutation is dropped, and the handle re-arms for the next request.
 //
-// The gate exists because a materializing build is the one unbounded
-// cost a request can trigger: chunk serving streams through O(MaxChunk)
-// buffers and the quota layer bounds items served, but a cold handle on
-// sim/shmem/inplace/cluster costs O(n) work and 4n to 16n bytes the
-// moment it is touched. Without the gate, a burst of cold keys turns into an
-// unbounded number of concurrent n-word builds racing for the same
-// cores.
+// The gate exists because a materializing build is one of the two
+// costs a request can trigger that grow with n: chunk serving streams
+// through O(MaxChunk) buffers and the quota layer bounds items served,
+// but a cold handle on sim/shmem/inplace/cluster costs O(n) work and 4n
+// to 16n bytes the moment it is touched. Without the gate, a burst of
+// cold keys turns into an unbounded number of concurrent n-word builds
+// racing for the same cores. The other is /v1/sample, whose draw holds
+// an 8n-byte identity: it takes a slot straight from acquireBuildSlot
+// for as long as it runs, and is refused 503 like a queued build.
 
 // errBuildQueueFull is the admission refusal: the build-queue deadline
 // passed with every build slot still occupied. Served as 503 with a

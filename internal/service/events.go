@@ -33,10 +33,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"time"
 
 	"randperm/internal/events"
+	"randperm/internal/query"
 )
 
 // eventsKeepalive is how often an idle stream writes an SSE comment so
@@ -45,22 +45,17 @@ import (
 const eventsKeepalive = 15 * time.Second
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	filter, err := events.ParseFilter(r.URL.Query().Get("types"))
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, "bad types filter: %v", err)
-		return
-	}
+	rd := query.New(r.URL.Query())
+	filter, err := events.ParseFilter(rd.Get("types"))
+	rd.Check(err == nil, "bad types filter: %v", err)
 	after := s.bus.LastSeq() // default: live-only
-	if lid := r.Header.Get("Last-Event-ID"); lid != "" {
-		if after, err = strconv.ParseUint(lid, 10, 64); err != nil {
-			s.httpError(w, http.StatusBadRequest, "bad Last-Event-ID %q: want a decimal sequence number", lid)
-			return
-		}
-	} else if fv := r.URL.Query().Get("from"); fv != "" {
-		if after, err = strconv.ParseUint(fv, 10, 64); err != nil {
-			s.httpError(w, http.StatusBadRequest, "bad from=%q: want a decimal sequence number", fv)
-			return
-		}
+	if r.Header.Get("Last-Event-ID") != "" {
+		after = rd.HeaderSeq(r.Header, "Last-Event-ID", after)
+	} else {
+		after = rd.Seq("from", after)
+	}
+	if s.refused(w, rd) {
+		return
 	}
 	fl, ok := w.(http.Flusher)
 	if !ok {

@@ -131,6 +131,37 @@ func TestBuildQueueRefusal(t *testing.T) {
 	}
 }
 
+// TestSampleTakesBuildSlot: /v1/sample holds an n-word identity, so
+// it waits for a build slot like a materializing build, and a request
+// that gets none within BuildWait is refused 503 with a Retry-After
+// instead of allocating alongside every build in flight.
+func TestSampleTakesBuildSlot(t *testing.T) {
+	const maxN = 1 << 10
+	s := newTestServer(t, Config{MaxN: maxN, MaxBuilds: 1, BuildWait: 50 * time.Millisecond})
+	s.buildSem <- struct{}{} // hold the only slot
+
+	path := fmt.Sprintf("/v1/sample?n=%d&k=1", maxN)
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("saturated gate: status %d, want 503: %s", rec.Code, rec.Body.String())
+	}
+	if got := rec.Header().Get("Retry-After"); got != "1" {
+		t.Errorf("503 Retry-After = %q, want %q", got, "1")
+	}
+	if got := s.met.admissionTimeouts.Load(); got != 1 {
+		t.Errorf("queue timeouts = %d, want 1", got)
+	}
+
+	<-s.buildSem
+	if code, body := get(t, s, path); code != http.StatusOK {
+		t.Fatalf("after slot release: status %d: %s", code, body)
+	}
+	if n := len(s.buildSem); n != 0 {
+		t.Errorf("%d build slots still held after the sample was written", n)
+	}
+}
+
 // TestQueuedBuildCancelNoLeak: requests queued behind a saturated build
 // gate whose clients all disconnect must unwind completely — no
 // goroutine may stay parked on the semaphore — and the handle must

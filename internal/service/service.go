@@ -53,7 +53,6 @@ import (
 	"math/bits"
 	"mime"
 	"net/http"
-	"net/url"
 	"runtime"
 	"slices"
 	"strconv"
@@ -65,6 +64,7 @@ import (
 	"randperm/internal/cluster"
 	"randperm/internal/events"
 	"randperm/internal/lru"
+	"randperm/internal/query"
 	"randperm/internal/workload"
 )
 
@@ -373,65 +373,54 @@ func (s *Server) httpError(w http.ResponseWriter, code int, format string, args 
 	http.Error(w, "permd: "+fmt.Sprintf(format, args...), code)
 }
 
-// querySeed parses the optional seed query parameter (default 0).
-func querySeed(q url.Values) (uint64, error) {
-	sv := q.Get("seed")
-	if sv == "" {
-		return 0, nil
-	}
-	seed, err := strconv.ParseUint(sv, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad seed %q: want a decimal uint64", sv)
-	}
-	return seed, nil
-}
-
-// queryInt64 parses query parameter name, or returns (def, nil) when absent.
-func queryInt64(q url.Values, name string, def int64) (int64, error) {
-	v := q.Get(name)
-	if v == "" {
-		return def, nil
-	}
-	n, err := strconv.ParseInt(v, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad %s=%q: want a decimal integer", name, v)
-	}
-	return n, nil
-}
-
-// permuterFor resolves the {seed} path value and the n/backend query of
-// a /v1/perm/* request into a cached handle entry. It applies the MaxN
-// gate to materializing backends and answers the error itself when it
-// returns ok == false.
-func (s *Server) permuterFor(w http.ResponseWriter, r *http.Request) (e *handleEntry, n int64, backend randperm.Backend, ok bool) {
-	seed, err := strconv.ParseUint(r.PathValue("seed"), 10, 64)
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, "bad seed %q: want a decimal uint64", r.PathValue("seed"))
-		return nil, 0, 0, false
-	}
-	q := r.URL.Query()
-	n, err = queryInt64(q, "n", -1)
+// refused answers rd's first fault, if it has one, as a 400 and
+// reports whether it did: the one place a handler refuses its
+// parameters.
+func (s *Server) refused(w http.ResponseWriter, rd *query.Reader) bool {
+	err := rd.Err()
 	if err != nil {
 		s.httpError(w, http.StatusBadRequest, "%v", err)
-		return nil, 0, 0, false
 	}
-	if n < 0 {
-		s.httpError(w, http.StatusBadRequest, "missing or negative n: the domain size n is required")
-		return nil, 0, 0, false
+	return err != nil
+}
+
+// backendQuery reads the backend parameter, def when it is absent.
+func backendQuery(rd *query.Reader, def randperm.Backend) randperm.Backend {
+	bs := rd.Get("backend")
+	if bs == "" {
+		return def
 	}
-	backend = s.defBackend
-	if bs := q.Get("backend"); bs != "" {
-		backend, err = randperm.ParseBackend(bs)
-		if err != nil {
-			s.httpError(w, http.StatusBadRequest, "%v", err)
-			return nil, 0, 0, false
-		}
-	}
-	if backend != randperm.BackendBijective && n > s.cfg.MaxN {
-		s.httpError(w, http.StatusBadRequest,
-			"n=%d exceeds this server's materialization bound %d for backend %s; use backend=bijective for larger domains",
+	backend, err := randperm.ParseBackend(bs)
+	rd.Check(err == nil, "%v", err)
+	return backend
+}
+
+// permQuery is the reader of a /v1/perm/* request: its query, with the
+// seed its path names.
+func permQuery(r *http.Request) *query.Reader {
+	q := r.URL.Query()
+	q.Set("seed", r.PathValue("seed"))
+	return query.New(q)
+}
+
+// permuterFor reads the permutation a /v1/perm/* request names from rd
+// — the seed, n and backend, with the MaxN gate on materializing
+// backends — and, when they read clean, resolves its cached handle
+// entry, before the caller reads the rest of rd: a request refused for
+// its range still counts as a cache lookup. It returns ok == false when
+// resolve answered an error itself; a fault left in rd is the caller's
+// to answer.
+func (s *Server) permuterFor(w http.ResponseWriter, r *http.Request, rd *query.Reader) (e *handleEntry, n int64, backend randperm.Backend, ok bool) {
+	seed := rd.Seed("seed")
+	n = rd.Int("n", -1)
+	rd.Check(n >= 0, "missing or negative n: the domain size n is required")
+	backend = backendQuery(rd, s.defBackend)
+	if backend != randperm.BackendBijective {
+		rd.Check(n <= s.cfg.MaxN, "n=%d exceeds this server's materialization bound %d for backend %s; use backend=bijective for larger domains",
 			n, s.cfg.MaxN, backend)
-		return nil, 0, 0, false
+	}
+	if rd.Err() != nil {
+		return nil, n, backend, true
 	}
 	e, ok = s.resolve(w, r, handleKey{n: n, seed: seed, backend: backend})
 	return e, n, backend, ok
@@ -458,30 +447,12 @@ func (s *Server) resolve(w http.ResponseWriter, r *http.Request, key handleKey) 
 	return e, true
 }
 
-// rangeQuery parses the ?start=&len= of a range request over [0, n):
+// rangeQuery reads the start and len of a range request over [0, n):
 // start defaults to 0 and len to min(MaxChunk, n-start), and len is
-// clamped to the domain end. It answers the error itself when it
-// returns ok == false.
-func (s *Server) rangeQuery(w http.ResponseWriter, q url.Values, n int64) (start, length int64, ok bool) {
-	start, err := queryInt64(q, "start", 0)
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, "%v", err)
-		return 0, 0, false
-	}
-	if start < 0 || start > n {
-		s.httpError(w, http.StatusBadRequest, "start=%d outside [0, %d]", start, n)
-		return 0, 0, false
-	}
-	length = min(n-start, int64(s.cfg.MaxChunk))
-	if lv := q.Get("len"); lv != "" {
-		length, err = strconv.ParseInt(lv, 10, 64)
-		if err != nil || length < 0 {
-			s.httpError(w, http.StatusBadRequest, "bad len=%q: want a non-negative decimal integer", lv)
-			return 0, 0, false
-		}
-		length = min(length, n-start)
-	}
-	return start, length, true
+// clamped to the domain end.
+func (s *Server) rangeQuery(rd *query.Reader, n int64) (start, length int64) {
+	start = rd.Offset("start", n)
+	return start, min(rd.Count("len", min(n-start, int64(s.cfg.MaxChunk))), n-start)
 }
 
 // admitItems charges cost items to the requesting client's quota bucket,
@@ -512,25 +483,30 @@ func (s *Server) admitItems(w http.ResponseWriter, r *http.Request, cost int64) 
 // admitBuild forces the handle through the materialization admission
 // gate (see admission.go), mapping refusals onto HTTP: a full build
 // queue becomes 503 + Retry-After, a failed build 500, and a client
-// that disconnected while queued gets nothing (it is gone). onAdmit is
-// ensureMaterialized's admission hook. Reports whether serving may
-// proceed.
+// that disconnected while queued gets nothing (see buildRefused).
+// onAdmit is ensureMaterialized's admission hook. Reports whether
+// serving may proceed.
 func (s *Server) admitBuild(w http.ResponseWriter, r *http.Request, e *handleEntry, onAdmit func()) bool {
 	err := s.ensureMaterialized(r.Context(), e, onAdmit)
+	if err != nil {
+		s.buildRefused(w, r, err)
+	}
+	return err == nil
+}
+
+// buildRefused answers a request that got no build slot or whose build
+// failed: a full build queue is 503 + Retry-After, a failed build 500,
+// and a client that disconnected while queued gets nothing (it is
+// gone).
+func (s *Server) buildRefused(w http.ResponseWriter, r *http.Request, err error) {
 	switch {
-	case err == nil:
-		return true
 	case errors.Is(err, errBuildQueueFull):
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfter(s.cfg.BuildWait)))
 		s.httpError(w, http.StatusServiceUnavailable, "all %d build slots busy: %v", s.cfg.MaxBuilds, err)
-		return false
 	case r.Context().Err() != nil:
-		// The client disconnected while waiting; count it, write nothing.
 		s.met.errors.Add(1)
-		return false
 	default:
 		s.httpError(w, http.StatusInternalServerError, "materializing permutation: %v", err)
-		return false
 	}
 }
 
@@ -539,15 +515,13 @@ func (s *Server) admitBuild(w http.ResponseWriter, r *http.Request, e *handleEnt
 // defaults to min(MaxChunk, n-start) and may exceed MaxChunk, in which
 // case the response streams through the pooled buffer page by page.
 func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
-	e, n, backend, ok := s.permuterFor(w, r)
+	rd := permQuery(r)
+	e, n, backend, ok := s.permuterFor(w, r, rd)
 	if !ok {
 		return
 	}
-	start, length, ok := s.rangeQuery(w, r.URL.Query(), n)
-	if !ok {
-		return
-	}
-	if !s.admitItems(w, r, max(length, 1)) {
+	start, length := s.rangeQuery(rd, n)
+	if s.refused(w, rd) || !s.admitItems(w, r, max(length, 1)) {
 		return
 	}
 	if backend == randperm.BackendCluster && s.node != nil {
@@ -945,23 +919,13 @@ func (d *decimalWriter) flush() error {
 // uniformity) is the backend choice itself, not something the service
 // layer can paper over.
 func (s *Server) handleAt(w http.ResponseWriter, r *http.Request) {
-	e, n, _, ok := s.permuterFor(w, r)
+	rd := permQuery(r)
+	e, n, _, ok := s.permuterFor(w, r, rd)
 	if !ok {
 		return
 	}
-	i, err := queryInt64(r.URL.Query(), "i", -1)
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if i < 0 || i >= n {
-		s.httpError(w, http.StatusBadRequest, "i=%d outside [0, %d)", i, n)
-		return
-	}
-	if !s.admitItems(w, r, 1) {
-		return
-	}
-	if !s.admitBuild(w, r, e, nil) {
+	i := rd.Index("i", n)
+	if s.refused(w, rd) || !s.admitItems(w, r, 1) || !s.admitBuild(w, r, e, nil) {
 		return
 	}
 	// Read through Chunk rather than At: same bytes, but an
@@ -987,54 +951,38 @@ func (s *Server) handleAt(w http.ResponseWriter, r *http.Request) {
 // false is refused with 400 rather than silently served from the
 // bijective keyed family.
 func (s *Server) handleShuffle(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	seed, err := querySeed(q)
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	backend := randperm.BackendSharedMem
-	if bs := q.Get("backend"); bs != "" {
-		backend, err = randperm.ParseBackend(bs)
-		if err != nil {
-			s.httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-	}
-	if !backend.ExactUniform() {
-		s.httpError(w, http.StatusBadRequest,
-			"backend %s is not exactly uniform over S_n and is refused on /v1/shuffle; use sim, shmem or inplace (or stream the keyed family from /v1/perm)", backend)
-		return
-	}
+	rd := query.New(r.URL.Query())
+	seed := rd.Seed("seed")
+	backend := backendQuery(rd, randperm.BackendSharedMem)
+	rd.Check(backend.ExactUniform(),
+		"backend %s is not exactly uniform over S_n and is refused on /v1/shuffle; use sim, shmem or inplace (or stream the keyed family from /v1/perm)", backend)
 
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)
 	mediaType, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type"))
 	asJSON := mediaType == "application/json"
 	var items []string
 	var raw []json.RawMessage
-	if asJSON {
-		if err := json.NewDecoder(body).Decode(&raw); err != nil {
-			if maxed := (*http.MaxBytesError)(nil); errors.As(err, &maxed) {
-				s.httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds this server's bound %d bytes", s.cfg.MaxBody)
-				return
+	if rd.Err() == nil { // the body is read only for a request that may be served
+		body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)
+		var err error
+		if asJSON {
+			err = json.NewDecoder(body).Decode(&raw)
+			rd.Check(err == nil, "decoding JSON array: %v", err)
+		} else {
+			sc := bufio.NewScanner(body)
+			sc.Buffer(make([]byte, 1<<20), 1<<24)
+			for sc.Scan() {
+				items = append(items, sc.Text())
 			}
-			s.httpError(w, http.StatusBadRequest, "decoding JSON array: %v", err)
+			err = sc.Err()
+			rd.Check(err == nil, "reading body: %v", err)
+		}
+		if errors.As(err, new(*http.MaxBytesError)) {
+			s.httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds this server's bound %d bytes", s.cfg.MaxBody)
 			return
 		}
-	} else {
-		sc := bufio.NewScanner(body)
-		sc.Buffer(make([]byte, 1<<20), 1<<24)
-		for sc.Scan() {
-			items = append(items, sc.Text())
-		}
-		if err := sc.Err(); err != nil {
-			if maxed := (*http.MaxBytesError)(nil); errors.As(err, &maxed) {
-				s.httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds this server's bound %d bytes", s.cfg.MaxBody)
-				return
-			}
-			s.httpError(w, http.StatusBadRequest, "reading body: %v", err)
-			return
-		}
+	}
+	if s.refused(w, rd) {
+		return
 	}
 	count := len(items)
 	if asJSON {
@@ -1083,39 +1031,29 @@ func (s *Server) handleShuffle(w http.ResponseWriter, r *http.Request) {
 // handleSample serves GET /v1/sample?n=&k=&seed= — a uniformly random
 // k-subset of [0, n) in uniformly random order, one value per line,
 // drawn by ParallelSample on the simulated machine (always exactly
-// uniform; there is no backend parameter to gate).
+// uniform; there is no backend parameter to gate). The draw holds an
+// 8n-byte identity, so it runs under a build slot of the admission
+// gate (admission.go) and is refused 503 like a build when none frees
+// up within BuildWait.
 func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	n, err := queryInt64(q, "n", -1)
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, "%v", err)
+	rd := query.New(r.URL.Query())
+	n := rd.Int("n", -1)
+	rd.Check(n >= 0, "missing or negative n: the domain size n is required")
+	rd.Check(n <= s.cfg.MaxN, "n=%d exceeds this server's bound %d", n, s.cfg.MaxN)
+	k := rd.Int("k", -1)
+	rd.Check(k >= 0 && k <= n, "k=%d outside [0, n=%d]", k, n)
+	seed := rd.Seed("seed")
+	if s.refused(w, rd) || !s.admitItems(w, r, max(k, 1)) {
 		return
 	}
-	if n < 0 {
-		s.httpError(w, http.StatusBadRequest, "missing or negative n: the domain size n is required")
+	if _, err := s.acquireBuildSlot(r.Context()); err != nil {
+		if errors.Is(err, errBuildQueueFull) {
+			s.met.admissionTimeouts.Add(1)
+		}
+		s.buildRefused(w, r, err)
 		return
 	}
-	if n > s.cfg.MaxN {
-		s.httpError(w, http.StatusBadRequest, "n=%d exceeds this server's bound %d", n, s.cfg.MaxN)
-		return
-	}
-	k, err := queryInt64(q, "k", -1)
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if k < 0 || k > n {
-		s.httpError(w, http.StatusBadRequest, "k=%d outside [0, n=%d]", k, n)
-		return
-	}
-	seed, err := querySeed(q)
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if !s.admitItems(w, r, max(k, 1)) {
-		return
-	}
+	defer func() { <-s.buildSem }()
 	data := make([]int64, n)
 	for i := range data {
 		data[i] = int64(i)

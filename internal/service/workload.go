@@ -2,10 +2,10 @@ package service
 
 import (
 	"net/http"
-	"net/url"
 	"strconv"
 
 	"randperm"
+	"randperm/internal/query"
 	"randperm/internal/workload"
 )
 
@@ -41,28 +41,12 @@ func (s *Server) epocher(seed uint64, mode workload.EpochMode) *workload.Epocher
 	return e
 }
 
-// requireBijective enforces the workload endpoints' backend gate: they
-// are defined on the keyed bijection (the O(1) Index is what makes an
-// assignment a point lookup and an epoch a pure function of its key),
-// so a ?backend= naming any other engine is refused rather than
-// silently served from a different law. Reports whether to proceed.
-func (s *Server) requireBijective(w http.ResponseWriter, q url.Values, endpoint string) bool {
-	bs := q.Get("backend")
-	if bs == "" {
-		return true
-	}
-	backend, err := randperm.ParseBackend(bs)
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, "%v", err)
-		return false
-	}
-	if backend != randperm.BackendBijective {
-		s.httpError(w, http.StatusBadRequest,
-			"%s requires the bijective backend (got %s): it is defined on the keyed bijection's O(1) Index", endpoint, backend)
-		return false
-	}
-	return true
-}
+// bijectiveOnly is the workload endpoints' refusal of a backend other
+// than bijective, given the endpoint and the backend: they are defined
+// on the keyed bijection (the O(1) Index is what makes an assignment a
+// point lookup and an epoch a pure function of its key), so such a
+// request is refused rather than silently served from a different law.
+const bijectiveOnly = "%s requires the bijective backend (got %s): it is defined on the keyed bijection's O(1) Index"
 
 // handleAssign serves GET /v1/assign?seed=&n=&id=&spec= — the
 // experiment bucket of user id under experiment seed. The spec
@@ -75,39 +59,16 @@ func (s *Server) requireBijective(w http.ResponseWriter, q url.Values, endpoint 
 // /v1/perm). The response body is the bucket name; the Permd-Bucket
 // header carries its index in the spec.
 func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	seed, err := querySeed(q)
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	n, err := queryInt64(q, "n", -1)
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if n <= 0 {
-		s.httpError(w, http.StatusBadRequest, "missing or non-positive n: the id-domain size n is required")
-		return
-	}
-	spec, err := workload.ParseAssignSpec(q.Get("spec"))
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, "bad spec: %v", err)
-		return
-	}
-	if !s.requireBijective(w, q, "/v1/assign") {
-		return
-	}
-	id, err := queryInt64(q, "id", -1)
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if id < 0 || id >= n {
-		s.httpError(w, http.StatusBadRequest, "id=%d outside [0, %d)", id, n)
-		return
-	}
-	if !s.admitItems(w, r, 1) {
+	rd := query.New(r.URL.Query())
+	seed := rd.Seed("seed")
+	n := rd.Int("n", -1)
+	rd.Check(n > 0, "missing or non-positive n: the id-domain size n is required")
+	spec, err := workload.ParseAssignSpec(rd.Get("spec"))
+	rd.Check(err == nil, "bad spec: %v", err)
+	backend := backendQuery(rd, randperm.BackendBijective)
+	rd.Check(backend == randperm.BackendBijective, bijectiveOnly, "/v1/assign", backend)
+	id := rd.Index("id", n)
+	if s.refused(w, rd) || !s.admitItems(w, r, 1) {
 		return
 	}
 	e, ok := s.resolve(w, r, handleKey{n: n, seed: seed, backend: randperm.BackendBijective})
@@ -139,43 +100,17 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 // The derived key is echoed in the Permd-Epoch-Key header, which is
 // how CI cross-checks the served bytes against the library.
 func (s *Server) handleEpochs(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	seed, err := querySeed(q)
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	n, err := queryInt64(q, "n", -1)
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if n < 0 {
-		s.httpError(w, http.StatusBadRequest, "missing or negative n: the dataset size n is required")
-		return
-	}
-	epoch, err := queryInt64(q, "epoch", 0)
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if epoch < 0 || epoch > s.cfg.MaxEpoch {
-		s.httpError(w, http.StatusBadRequest, "epoch=%d outside [0, %d]", epoch, s.cfg.MaxEpoch)
-		return
-	}
-	mode, err := workload.ParseEpochMode(q.Get("mode"))
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if !s.requireBijective(w, q, "/v1/epochs") {
-		return
-	}
-	start, length, ok := s.rangeQuery(w, q, n)
-	if !ok {
-		return
-	}
-	if !s.admitItems(w, r, max(length, 1)) {
+	rd := query.New(r.URL.Query())
+	seed := rd.Seed("seed")
+	n := rd.Int("n", -1)
+	rd.Check(n >= 0, "missing or negative n: the dataset size n is required")
+	epoch := rd.Offset("epoch", s.cfg.MaxEpoch)
+	mode, err := workload.ParseEpochMode(rd.Get("mode"))
+	rd.Check(err == nil, "%v", err)
+	backend := backendQuery(rd, randperm.BackendBijective)
+	rd.Check(backend == randperm.BackendBijective, bijectiveOnly, "/v1/epochs", backend)
+	start, length := s.rangeQuery(rd, n)
+	if s.refused(w, rd) || !s.admitItems(w, r, max(length, 1)) {
 		return
 	}
 	key := s.epocher(seed, mode).Key(epoch)
