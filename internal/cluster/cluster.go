@@ -4,25 +4,28 @@
 // paper's O(1) communication rounds, over HTTP, with R-way shard
 // replication for fault tolerance.
 //
-// The decomposition is the engine's: p even blocks (p = Config.Procs,
-// the cluster-wide decomposition width), grouped contiguously into N
-// shard slots — slot k is the block range blockSpan(p, N, k) and the
-// index range ShardRange(n, k). A node builds a slot's shard in three
-// rounds:
+// The decomposition is the engine's (engine.CGM): p even blocks (p =
+// Config.Procs, the cluster-wide decomposition width), grouped
+// contiguously into N shard slots — slot k is the block range
+// blockSpan(p, N, k) and the index range ShardRange(n, k). A node
+// builds a slot's shard in three rounds, each a call into that one
+// engine type; what the package adds is which source blocks are local
+// and which are fetched, the wire, replication and health:
 //
 //	round 1  every node samples the p x p communication matrix locally
-//	         from stream 0 of the shared seed — no network; the matrix
-//	         is a pure function of (seed, n, p), so all nodes hold
-//	         identical copies by construction;
-//	round 2  the h-relation: the label arrangements of every source
-//	         block are drawn from the blocks' streams — locally for
-//	         blocks of slots this node replicates, from a duty-holding
-//	         peer for the rest — and each received payload segment is
-//	         verified against the locally sampled matrix entry it
-//	         realizes, so a seed or width mismatch is detected, not
-//	         silently mixed;
+//	         (engine.NewCGM) from the shared seed — no network; the
+//	         matrix is a pure function of (seed, n, p), so all nodes
+//	         hold identical copies by construction;
+//	round 2  the h-relation: every source block's indexes are routed
+//	         by its label arrangement (CGM.Labels, engine.RouteIota) —
+//	         into the shard's window (CGM.Window) for blocks of slots
+//	         this node replicates, into a duty-holding peer's exchange
+//	         pages (CGM.Exchange) for the rest — and each received
+//	         payload segment is verified against the locally sampled
+//	         matrix entry it realizes, so a seed or width mismatch is
+//	         detected, not silently mixed;
 //	round 3  each target block of the slot is arranged in place from
-//	         its own stream (engine.LocalShuffle on the engine's worker
+//	         its own stream (engine.Arrange on the engine's worker
 //	         pool) — again no network.
 //
 // Replication rides the same fact that makes the rounds cheap: a shard
@@ -39,8 +42,8 @@
 // when R >= 2; with R = 1 the failure surfaces as an error naming the
 // peer and the round (see PeerError), never as partial or mixed bytes.
 //
-// Because rounds 1 and 3 consume exactly the streams the single-process
-// engine consumes and round 2 reproduces its routing, the assembled
+// Because every round is the single-process engine's own code on the
+// same streams, and only the item movement differs, the assembled
 // cluster permutation is byte-identical to PermuteSliceCGM over the
 // same (seed, n, p) — regardless of N, R, which replica served which
 // span, or how many failures were absorbed along the way. This is the
@@ -58,7 +61,6 @@ import (
 	"sync"
 	"time"
 
-	"randperm/internal/commat"
 	"randperm/internal/core"
 	"randperm/internal/engine"
 	"randperm/internal/events"
@@ -276,6 +278,12 @@ func blockOfIndex(n int64, p int, idx int64) int {
 	}
 }
 
+// blockStart returns the first global index of even-layout block b, for
+// 0 <= b <= p: the first n mod p blocks hold one index more.
+func blockStart(n int64, p, b int) int64 {
+	return int64(b)*(n/int64(p)) + min(int64(b), n%int64(p))
+}
+
 // replicasOf returns the nodes owning shard slot k, primary first: the
 // R consecutive nodes starting at k, mod the cluster size.
 func (nd *Node) replicasOf(slot int) []int {
@@ -309,9 +317,8 @@ func (nd *Node) duties(k int) []int {
 // shard slot k covers: the concatenation of its contiguous target
 // blocks.
 func (nd *Node) ShardRange(n int64, k int) (lo, hi int64) {
-	off := blockOffsets(n, nd.cfg.Procs)
 	blo, bhi := blockSpan(nd.cfg.Procs, len(nd.cfg.Peers), k)
-	return off[blo], off[bhi]
+	return blockStart(n, nd.cfg.Procs, blo), blockStart(n, nd.cfg.Procs, bhi)
 }
 
 // Owner returns the shard slot covering global output index idx of a
@@ -320,16 +327,6 @@ func (nd *Node) ShardRange(n int64, k int) (lo, hi int64) {
 // starting there.
 func (nd *Node) Owner(n, idx int64) int {
 	return ownerOfBlock(nd.cfg.Procs, len(nd.cfg.Peers), blockOfIndex(n, nd.cfg.Procs, idx))
-}
-
-// blockOffsets returns the p+1 prefix offsets of core.EvenBlocks(n, p).
-func blockOffsets(n int64, p int) []int64 {
-	sizes := core.EvenBlocks(n, p)
-	off := make([]int64, p+1)
-	for i, s := range sizes {
-		off[i+1] = off[i] + s
-	}
-	return off
 }
 
 // shardKey identifies one shard this node can hold. Procs and the node
@@ -369,76 +366,32 @@ func (nd *Node) shard(slot int, n int64, seed uint64) (*Shard, error) {
 // permutation. The slot need not be this node's own: a replica build
 // runs the identical rounds and produces identical bytes, because
 // nothing below depends on Self except which source blocks are
-// recomputed locally versus fetched — and both paths realize the same
+// routed locally versus fetched — and both paths realize the same
 // matrix entries from the same streams.
 func (nd *Node) buildShard(slot int, n int64, seed uint64) (*Shard, error) {
 	p, nodes, self := nd.cfg.Procs, len(nd.cfg.Peers), nd.cfg.Self
-	sizes := core.EvenBlocks(n, p)
-	off := blockOffsets(n, p)
 	blo, bhi := blockSpan(p, nodes, slot)
-	start, end := off[blo], off[bhi]
-	// One spare slot past the shard is round 2's scatter sink.
-	buf := make([]int64, end-start+1)
-	vals, sink := buf[:end-start], end-start
 
-	// Round 1: the communication matrix, sampled locally. Stream 0 of
-	// the shared seed — every node derives the same matrix.
+	// Round 1: the communication matrix, sampled locally from the
+	// shared seed — every node derives the same matrix.
 	began := time.Now()
-	streams := engine.CGMStreams(seed, p)
-	a := commat.SampleSeq(streams[0], sizes, sizes)
+	sizes := core.EvenBlocks(n, p)
+	cgm := engine.NewCGM(seed, sizes, sizes)
 	nd.publishRound(slot, 1, n, seed, time.Since(began), "matrix")
 
-	// Within owned target block j, source i's segment begins at the
-	// column prefix sum of a_0j .. a_(i-1)j (sources in rank order —
-	// the same layout scatterStarts gives the single-process engine).
-	// segStart[i][j] is that position in vals, or the sink for a
-	// target j outside the slot.
-	segStart := make([][]int64, p)
-	for i := range segStart {
-		segStart[i] = make([]int64, p)
-		for j := range segStart[i] {
-			segStart[i][j] = sink
-		}
-	}
-	for j := blo; j < bhi; j++ {
-		pos := off[j] - start
-		for i := 0; i < p; i++ {
-			segStart[i][j] = pos
-			pos += a.At(i, j)
-		}
-	}
-	// seg is where source i's segment for owned target j lands.
-	seg := func(i, j int) []int64 {
-		lo := segStart[i][j]
-		return vals[lo : lo+a.At(i, j)]
-	}
+	// The shard is the window of the slot's target blocks; one spare
+	// slot past it is round 2's sink.
+	win := cgm.Window(blo, bhi)
+	buf := make([]int64, win.Len(0)+1)
+	vals := buf[:win.Len(0)]
 
 	// Round 2, local half: every source block belonging to a slot this
-	// node replicates is recomputed locally from its stream — replicas
-	// are free, so no wire traffic is spent on payloads this node can
-	// derive itself. Each target gets a write cursor at its segment's
-	// start, set once per source block, and one pass over the labels
-	// advances them. Labels of targets outside the slot write to the
-	// sink and never advance, which keeps the loop free of a
-	// data-dependent branch.
+	// node replicates is routed locally — replicas are free, so no wire
+	// traffic is spent on payloads this node can derive itself.
 	began = time.Now()
-	step := make([]int64, p)
-	for j := blo; j < bhi; j++ {
-		step[j] = 1
-	}
-	cur := make([]int64, p)
 	for i := 0; i < p; i++ {
-		if !nd.hasDuty(self, ownerOfBlock(p, nodes, i)) {
-			continue
-		}
-		labels := engine.ArrangeRow(streams[1+i], a.Row(i))
-		copy(cur, segStart[i])
-		v := off[i]
-		for _, lab := range labels {
-			c := cur[lab]
-			buf[c] = v
-			cur[lab] = c + step[lab]
-			v++
+		if nd.hasDuty(self, ownerOfBlock(p, nodes, i)) {
+			engine.RouteIota(win, i, cgm.Labels(i), buf)
 		}
 	}
 
@@ -449,6 +402,10 @@ func (nd *Node) buildShard(slot int, n int64, seed uint64) (*Shard, error) {
 	// segment is verified against our own matrix entry before
 	// placement. Slots are fetched concurrently — their target segments
 	// are disjoint by construction.
+	seg := func(i, j int) []int64 {
+		lo, hi := win.Segment(i, j)
+		return vals[lo:hi]
+	}
 	var wg sync.WaitGroup
 	errs := make([]error, nodes)
 	for s := 0; s < nodes; s++ {
@@ -458,7 +415,7 @@ func (nd *Node) buildShard(slot int, n int64, seed uint64) (*Shard, error) {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			errs[s] = nd.fetchExchangeSlot(s, slot, n, seed, a, seg)
+			errs[s] = nd.fetchExchangeSlot(s, slot, n, seed, cgm.Matrix(), seg)
 		}(s)
 	}
 	wg.Wait()
@@ -478,13 +435,10 @@ func (nd *Node) buildShard(slot int, n int64, seed uint64) (*Shard, error) {
 	began = time.Now()
 	pool := engine.NewPool(min(runtime.GOMAXPROCS(0), bhi-blo), seed)
 	defer pool.Close()
-	if err := pool.For(bhi-blo, func(jj int) {
-		j := blo + jj
-		blk := vals[off[j]-start : off[j+1]-start]
-		engine.LocalShuffle(streams[1+p+j], blk)
-	}); err != nil {
+	if err := pool.For(bhi-blo, func(jj int) { engine.Arrange(win, blo+jj, vals) }); err != nil {
 		return nil, err
 	}
 	nd.publishRound(slot, 3, n, seed, time.Since(began), "arrange")
+	start, end := nd.ShardRange(n, slot)
 	return &Shard{Start: start, End: end, Vals: vals}, nil
 }

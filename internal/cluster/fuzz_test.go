@@ -44,7 +44,7 @@ func validLeg(tb testing.TB) (body []byte, a *commat.Matrix, maxA int64) {
 		tb.Fatalf("serving the leg: %d %s", rec.Code, rec.Body)
 	}
 	sizes := core.EvenBlocks(testLeg.n, testLeg.p)
-	a = commat.SampleSeq(engine.CGMStreams(testLeg.seed, testLeg.p)[0], sizes, sizes)
+	a = engine.NewCGM(testLeg.seed, sizes, sizes).Matrix()
 	sLo, sHi := blockSpan(testLeg.p, testLeg.nodes, testLeg.from)
 	tLo, tHi := blockSpan(testLeg.p, testLeg.nodes, testLeg.to)
 	for i := sLo; i < sHi; i++ {

@@ -200,13 +200,15 @@ func (nd *Node) identity(rd *query.Reader) (n int64, seed uint64) {
 // one box.
 //
 // The handler is deliberately stateless: the matrix and arrangements
-// are recomputed per request rather than cached per (n, seed). With
-// N-1 requesters per permutation that redoes the O(n/N) arrangement
-// work N-1 times per slot — the trade is bounded peer-facing memory
-// (O(m_i) per in-flight request, no second cache to size against the
-// shard LRU) for CPU. Profiles of a cold 2-node pull put this
-// endpoint's cost in the wire codec, not in ArrangeRow — it was a call
-// and an 8-byte allocation per value — hence the page encoding below.
+// are recomputed per request rather than cached per (n, seed), which
+// bounds its memory to one source block's labels, route page and wire
+// page per request, with no second cache to size against the shard
+// LRU. The price is CPU: with N-1 requesters per permutation the O(n/N)
+// arrangement work is redone N-1 times per slot, and that work is a
+// large share of a cold pull: profiles of cold 2-node pulls put 31.6 %
+// of all CPU in the label arrangement, 14.3 points of it under this
+// handler (ROADMAP, "Arrange each source block once"), and 1.50-1.62 s
+// of 6.8-7.2 s CPU over 150 served pulls (BENCHMARKS.md).
 func (nd *Node) handleExchange(w http.ResponseWriter, r *http.Request) {
 	nd.exchangeReqs.Add(1)
 	q := r.URL.Query()
@@ -238,57 +240,38 @@ func (nd *Node) handleExchange(w http.ResponseWriter, r *http.Request) {
 
 	leg := exchangeLeg{seed: seed, n: n, p: nd.cfg.Procs, nodes: nodes, from: int(from), to: int(to)}
 	sizes := core.EvenBlocks(n, leg.p)
-	off := blockOffsets(n, leg.p)
-	streams := engine.CGMStreams(seed, leg.p)
-	a := commat.SampleSeq(streams[0], sizes, sizes)
+	cgm := engine.NewCGM(seed, sizes, sizes)
 	sLo, sHi := blockSpan(leg.p, leg.nodes, leg.from) // the served source slot's blocks
 	tLo, tHi := blockSpan(leg.p, leg.nodes, leg.to)   // the requested target slot's blocks
+	ex := cgm.Exchange(tLo, tHi)
 
 	w.Header().Set("Content-Type", "application/octet-stream")
-	page := leg.appendHeader(make([]byte, 0, 1<<15))
-	if _, err := w.Write(page); err != nil {
+	wire := leg.appendHeader(make([]byte, 0, 1<<15))
+	if _, err := w.Write(wire); err != nil {
 		return
 	}
-	// Each source block's segments are laid out in the page as on the
-	// wire — i, then per target its count and payload — with a write
-	// cursor per target, and one pass over the labels fills them all.
-	// Labels of targets outside the requested slot write to an 8-byte
-	// sink past the block and never advance, which keeps the loop free
-	// of a data-dependent branch.
-	cur := make([]int, leg.p)
-	step := make([]int, leg.p)
-	for j := tLo; j < tHi; j++ {
-		step[j] = 8
-	}
+	// Each source block is routed into a reused page in exchange layout
+	// — its segments for the target slot back to back, in target order
+	// — and then encoded as on the wire: i, then per target its count
+	// and payload.
+	var page []int64
 	var shipped int64
 	for i := sLo; i < sHi; i++ {
-		labels := engine.ArrangeRow(streams[1+i], a.Row(i))
-		size := 4
+		m := ex.Len(i)
+		page = slices.Grow(page[:0], int(m)+1)[:m+1]
+		engine.RouteIota(ex, i, cgm.Labels(i), page)
+		wire = binary.LittleEndian.AppendUint32(slices.Grow(wire[:0], 4+8*(tHi-tLo)+8*int(m)), uint32(int32(i)))
 		for j := tLo; j < tHi; j++ {
-			cur[j] = size + 8
-			size += 8 + 8*int(a.At(i, j))
-		}
-		for j := range cur {
-			if step[j] == 0 {
-				cur[j] = size
+			lo, hi := ex.Segment(i, j)
+			wire = binary.LittleEndian.AppendUint64(wire, uint64(hi-lo))
+			for _, v := range page[lo:hi] {
+				wire = binary.LittleEndian.AppendUint64(wire, uint64(v))
 			}
 		}
-		page = slices.Grow(page[:0], size+8)[:size+8]
-		binary.LittleEndian.PutUint32(page, uint32(int32(i)))
-		for j := tLo; j < tHi; j++ {
-			binary.LittleEndian.PutUint64(page[cur[j]-8:], uint64(a.At(i, j)))
-			shipped += a.At(i, j)
-		}
-		v := uint64(off[i])
-		for _, lab := range labels {
-			c := cur[lab]
-			binary.LittleEndian.PutUint64(page[c:c+8], v)
-			cur[lab] = c + step[lab]
-			v++
-		}
-		if _, err := w.Write(page[:size]); err != nil {
+		if _, err := w.Write(wire); err != nil {
 			return
 		}
+		shipped += m
 	}
 	nd.exchangeItems.Add(shipped)
 }

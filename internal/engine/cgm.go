@@ -3,46 +3,69 @@ package engine
 import (
 	"fmt"
 
+	"randperm/internal/commat"
 	"randperm/internal/core"
 	"randperm/internal/xrand"
 )
 
-// This file is the coarse-grained-multicomputer (CGM) form of the
-// scatter engine: the exact fixed-margin decomposition of PermuteBlocks
-// applied to a flat slice through an even block layout. It exists so
-// that one permutation law can be computed in two places and agree byte
-// for byte:
-//
-//   - in process, by PermuteSliceCGM below (the BackendCluster path of
-//     the public API), and
-//   - across machines, by internal/cluster, where each node replays
-//     only its own rows and columns of the same decomposition and the
-//     item movement becomes a real h-relation over HTTP.
-//
-// The distributable pieces — the label arrangement of one source block
-// and the in-place arrangement of one target block — are exported here
-// (ArrangeRow, LocalShuffle) rather than reimplemented in the cluster
-// package, so the byte-identity contract between the single-node and
-// multi-node runs is enforced by construction: both sides call the same
-// functions on the same jump-separated streams.
+// This file is the blocked decomposition of the paper's Algorithm 1,
+// written once for every place that runs it: in process by
+// PermuteBlocks and PermuteSliceCGM (the BackendCluster path of the
+// public API), and across machines by internal/cluster, where each
+// node runs only its own rows and columns and the item movement
+// becomes a real h-relation over HTTP. Both call the same CGM on the
+// same streams, so their bytes agree by construction.
 
-// CGMStreams returns the RNG streams of the blocked decomposition for a
-// p-source, p-target run: stream 0 samples the communication matrix,
-// stream 1+i arranges source block i, stream 1+p+j arranges target
-// block j. It is the exact stream layout permute uses, published so a
-// cluster node can derive any block's stream locally — NewStreams makes
-// stream i independent of how many streams are requested, which is what
-// lets a node that owns two blocks of a 16-block decomposition draw the
-// same values as the single process that owns all 16.
-func CGMStreams(seed uint64, p int) []*xrand.Xoshiro256 {
-	return xrand.NewStreams(seed, 1+2*p)
+// CGM is the blocked decomposition for one seed and one pair of block
+// layouts, p source blocks into pp target blocks. Making it is round 1;
+// Labels and RouteIota are round 2 for one source block, into a
+// Window's segments; Arrange is round 3 for one target block. Every
+// call reads a fresh copy of its block's stream, so a CGM is safe for
+// concurrent use and any call can be repeated with the same result.
+type CGM struct {
+	a *commat.Matrix
+	// streams[0] samples the matrix, streams[1+i] arranges source block
+	// i's labels, streams[1+p+j] arranges target block j. NewStreams
+	// makes stream k independent of how many are derived, so a node
+	// running two blocks of 16 draws what one process running all 16
+	// draws.
+	streams        []*xrand.Xoshiro256
+	srcOff, dstOff []int64 // block prefix offsets, len p+1 and pp+1
 }
 
-// ArrangeRow draws the label arrangement for one source block from rng:
-// a uniformly random arrangement of the multiset {j repeated row[j]
-// times}, consuming exactly the draws routeBlock consumes for the same
-// row. labels[t] is the target block of the source block's t-th item.
-func ArrangeRow(rng *xrand.Xoshiro256, row []int64) []int32 {
+// NewCGM runs round 1 for seed: it samples the exact fixed-margin
+// communication matrix (Algorithm 3) for source blocks of srcSizes and
+// target blocks of dstSizes, whose totals must agree.
+func NewCGM(seed uint64, srcSizes, dstSizes []int64) *CGM {
+	streams := xrand.NewStreams(seed, 1+len(srcSizes)+len(dstSizes))
+	return &CGM{
+		a:       commat.SampleSeq(streams[0], srcSizes, dstSizes),
+		streams: streams,
+		srcOff:  prefixOffsets(srcSizes),
+		dstOff:  prefixOffsets(dstSizes),
+	}
+}
+
+func prefixOffsets(sizes []int64) []int64 {
+	off := make([]int64, len(sizes)+1)
+	for i, s := range sizes {
+		off[i+1] = off[i] + s
+	}
+	return off
+}
+
+// Matrix returns the communication matrix: entry (i, j) counts source
+// block i's items bound for target block j. It must not be modified.
+func (c *CGM) Matrix() *commat.Matrix { return c.a }
+
+// Labels draws the label arrangement of source block i, round 2's one
+// draw: a uniformly random arrangement of {j repeated a_ij times}, so
+// labels[t] is the target block of the block's t-th item.
+func (c *CGM) Labels(i int) []int32 { return arrangeRow(c.streams[1+i].Clone(), c.a.Row(i)) }
+
+// arrangeRow draws the label arrangement of a matrix row from rng,
+// consuming exactly the draws routeBlock consumes for the same row.
+func arrangeRow(rng *xrand.Xoshiro256, row []int64) []int32 {
 	var total int64
 	for _, c := range row {
 		total += c
@@ -59,12 +82,91 @@ func ArrangeRow(rng *xrand.Xoshiro256, row []int64) []int32 {
 	return labels
 }
 
-// LocalShuffle arranges x uniformly in place with the engine's
-// Fisher-Yates (the arrangement pass every scatter backend runs on its
-// target blocks). Exported so the cluster backend's round 3 — each node
-// arranging its own target blocks — replays the single-node arrangement
-// byte for byte from the same stream.
-func LocalShuffle[T any](rng *xrand.Xoshiro256, x []T) { shuffleX(rng, x) }
+// Window lays out round 2's segments for the target blocks [lo, hi):
+// where segment (i, j), the items source block i sends target block j,
+// begins in source i's buffer. Labels of the other targets go to the
+// slot just past the buffer, the sink.
+type Window struct {
+	c      *CGM
+	lo, hi int
+	at     [][]int64 // at[i][j]: segment (i, j)'s start, for lo <= j < hi
+	size   []int64   // size[i]: the length of source i's buffer
+}
+
+// Window lays the target blocks [lo, hi) end to end in one buffer all
+// sources share — a shard — each block holding its sources' segments
+// in rank order.
+func (c *CGM) Window(lo, hi int) *Window {
+	colOff := make([]int64, c.a.Cols())
+	for j := range colOff {
+		colOff[j] = c.dstOff[j] - c.dstOff[lo]
+	}
+	size := make([]int64, c.a.Rows())
+	for i := range size {
+		size[i] = c.dstOff[hi] - c.dstOff[lo]
+	}
+	return &Window{c: c, lo: lo, hi: hi, at: scatterStarts(c.a, colOff), size: size}
+}
+
+// Exchange gives each source block a buffer of its own holding its
+// segments for the target blocks [lo, hi) back to back, in target
+// order — the order of an exchange response.
+func (c *CGM) Exchange(lo, hi int) *Window {
+	at := make([][]int64, c.a.Rows())
+	size := make([]int64, len(at))
+	for i := range at {
+		at[i] = make([]int64, c.a.Cols())
+		for j := lo; j < hi; j++ {
+			at[i][j] = size[i]
+			size[i] += c.a.At(i, j)
+		}
+	}
+	return &Window{c: c, lo: lo, hi: hi, at: at, size: size}
+}
+
+// Len returns the length of source i's buffer, without the sink.
+func (w *Window) Len(i int) int64 { return w.size[i] }
+
+// Segment returns where segment (i, j) lies in source i's buffer, for
+// a target block j of the window.
+func (w *Window) Segment(i, j int) (lo, hi int64) {
+	return w.at[i][j], w.at[i][j] + w.c.a.At(i, j)
+}
+
+// RouteIota is round 2 for source block i, whose items are its indexes
+// in [0, n): the t-th index goes to the next position of the segment of
+// target labels[t] in dst, so each segment keeps source order. labels
+// must be c.Labels(i). dst holds w.Len(i) values and then the sink. A
+// window that spans every target block writes no sink, so dst may end
+// at w.Len(i), and sources write disjoint positions of a shared Window
+// buffer: they may be routed concurrently.
+func RouteIota[T int32 | int64](w *Window, i int, labels []int32, dst []T) {
+	// A target outside the window starts at the sink and never
+	// advances, which keeps the loop free of a data-dependent branch.
+	cur := make([]int64, len(w.at[i]))
+	step := make([]int64, len(cur))
+	for j := range cur {
+		cur[j] = w.size[i]
+	}
+	for j := w.lo; j < w.hi; j++ {
+		cur[j], step[j] = w.at[i][j], 1
+	}
+	v := T(w.c.srcOff[i])
+	for _, j := range labels {
+		x := cur[j]
+		dst[x] = v
+		cur[j] = x + step[j]
+		v++
+	}
+}
+
+// Arrange is round 3 for target block j of a CGM.Window laid out in
+// buf: the block is arranged uniformly in place from its own stream,
+// mixing the contributions of every source (the paper's phase 4).
+func Arrange[T any](w *Window, j int, buf []T) {
+	c, base := w.c, w.c.dstOff[w.lo]
+	shuffleX(c.streams[1+c.a.Rows()+j].Clone(), buf[c.dstOff[j]-base:c.dstOff[j+1]-base])
+}
 
 // PermuteSliceCGM permutes data through the blocked CGM decomposition:
 // the slice is split into p even contiguous source blocks, the exact
@@ -77,9 +179,8 @@ func LocalShuffle[T any](rng *xrand.Xoshiro256, x []T) { shuffleX(rng, x) }
 //
 // This is the permutation BackendCluster serves: a multi-node cluster
 // run over the same (seed, n, p) produces these bytes exactly (see
-// internal/cluster), because both sides execute the same three rounds
-// from the same streams — only the locality of the item movement
-// differs. The input is not modified.
+// internal/cluster), because both sides run the same CGM — only the
+// locality of the item movement differs. The input is not modified.
 func PermuteSliceCGM[T any](data []T, p int, opt Options) ([]T, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("engine: CGM decomposition needs p >= 1, got %d", p)
@@ -89,19 +190,15 @@ func PermuteSliceCGM[T any](data []T, p int, opt Options) ([]T, error) {
 }
 
 // permuteCGMIota is PermuteSliceCGM over the identity of [0, n) without
-// the identity: source block i is the index range starting at off[i],
-// routed by routeIota. Its output equals PermuteSliceCGM(identity) byte
-// for byte.
+// the identity: every source block's indexes are routed by RouteIota.
+// Its output equals PermuteSliceCGM(identity) byte for byte.
 func permuteCGMIota[T int32 | int64](n, p int, opt Options) ([]T, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("engine: CGM decomposition needs p >= 1, got %d", p)
 	}
 	sizes := core.EvenBlocks(int64(n), p)
-	off := make([]int64, p)
-	for i := 1; i < p; i++ {
-		off[i] = off[i-1] + sizes[i-1]
-	}
-	return scatterBlocks(int64(n), sizes, sizes, opt, func(i int, rng *xrand.Xoshiro256, row, starts []int64, flat []T) {
-		routeIota(rng, off[i], row, starts, flat)
+	c := NewCGM(opt.Seed, sizes, sizes)
+	return scatterBlocks(c, opt, func(w *Window, i int, flat []T) {
+		RouteIota(w, i, c.Labels(i), flat)
 	})
 }

@@ -87,7 +87,7 @@ func TestPermuteSliceCGMMatchesBlockedPermute(t *testing.T) {
 	}
 }
 
-// TestArrangeRowMatchesRoute: ArrangeRow must consume the stream exactly
+// TestArrangeRowMatchesRoute: arrangeRow must consume the stream exactly
 // as routeBlock does, and the segments it induces must reproduce
 // routeBlock's writes (source order within a target, targets laid out by
 // scatterStarts).
@@ -101,7 +101,7 @@ func TestArrangeRowMatchesRoute(t *testing.T) {
 	starts := []int64{0, 3, 3, 7}
 	routeBlock(a, src, row, starts, flat)
 
-	labels := ArrangeRow(b, row)
+	labels := arrangeRow(b, row)
 	if len(labels) != len(src) {
 		t.Fatalf("labels length %d, want %d", len(labels), len(src))
 	}
@@ -120,7 +120,7 @@ func TestArrangeRowMatchesRoute(t *testing.T) {
 	// Both paths must leave their streams in the same state: the next
 	// draw after either is the same value.
 	if a.Uint64() != b.Uint64() {
-		t.Fatal("stream consumption diverged between routeBlock and ArrangeRow")
+		t.Fatal("stream consumption diverged between routeBlock and arrangeRow")
 	}
 }
 

@@ -1,10 +1,17 @@
-// Native fuzz targets for the bijective backend's core algebra. CI runs
-// a short -fuzztime smoke; longer local runs:
+// Native fuzz targets for the bijective backend's core algebra and the
+// blocked decomposition's slot builds. CI runs a short -fuzztime smoke;
+// longer local runs:
 //
 //	go test -run='^$' -fuzz=FuzzBijectionIndexInverse -fuzztime=60s ./internal/engine
+//	go test -run='^$' -fuzz='^FuzzCGMSlots$' -fuzztime=60s ./internal/engine
 package engine
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+
+	"randperm/internal/core"
+)
 
 // FuzzBijectionIndexInverse: for arbitrary (n, seed, i) the keyed
 // bijection must stay inside its domain and invert exactly —
@@ -56,4 +63,68 @@ func FuzzBijectionIndexInverse(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzCGMSlots builds every shard slot of a blocked decomposition the
+// way a cluster does, through CGM alone: n <= 4096 items in p <= 16
+// blocks over nodes <= p slots, each slot a Window of contiguous target
+// blocks. A source block whose bit is set in local is routed straight
+// into the slot; any other is routed into its own Exchange page and
+// copied into the slot's segments, as the exchange decoder does. Then
+// each target block is arranged. The slots, concatenated, must be
+// PermuteSliceCGM of the identity, which moves items with the separate
+// routeBlock kernel, in both index types.
+func FuzzCGMSlots(f *testing.F) {
+	// Raw values in range read as themselves: n, p, nodes, seed, local.
+	f.Add(uint16(0), uint8(3), uint8(2), uint64(1), uint16(0))
+	f.Add(uint16(1), uint8(4), uint8(3), uint64(2), uint16(1))
+	f.Add(uint16(5), uint8(8), uint8(4), uint64(3), uint16(0x55))
+	f.Add(uint16(1000), uint8(7), uint8(3), uint64(4), uint16(0x2a))
+	f.Add(uint16(4096), uint8(16), uint8(5), uint64(5), uint16(0xffff))
+	f.Fuzz(func(t *testing.T, n16 uint16, p8, nodes8 uint8, seed uint64, local uint16) {
+		n, p := int(n16%4097), 1+int(p8-1)%16
+		nodes := 1 + int(nodes8-1)%p
+		want, err := PermuteSliceCGM(iota64(n), p, Options{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		what := fmt.Sprintf("n=%d p=%d nodes=%d seed=%d local=%#x", n, p, nodes, seed, local)
+		sameAs(t, "int32 "+what, cgmSlots[int32](t, n, p, nodes, seed, local), want)
+		sameAs(t, "int64 "+what, cgmSlots[int64](t, n, p, nodes, seed, local), want)
+	})
+}
+
+// cgmSlots concatenates the nodes slots of FuzzCGMSlots' decomposition.
+func cgmSlots[T int32 | int64](t *testing.T, n, p, nodes int, seed uint64, local uint16) []T {
+	sizes := core.EvenBlocks(int64(n), p)
+	c := NewCGM(seed, sizes, sizes)
+	var out []T
+	for k := 0; k < nodes; k++ {
+		// The first p mod nodes slots hold one block more.
+		q, r := p/nodes, p%nodes
+		lo, hi := k*q+min(k, r), (k+1)*q+min(k+1, r)
+		w, ex := c.Window(lo, hi), c.Exchange(lo, hi)
+		slot := make([]T, w.Len(0)+1) // the window and its sink
+		for i := 0; i < p; i++ {
+			if local>>i&1 == 1 {
+				RouteIota(w, i, c.Labels(i), slot)
+				continue
+			}
+			page := make([]T, ex.Len(i)+1)
+			RouteIota(ex, i, c.Labels(i), page)
+			for j := lo; j < hi; j++ {
+				a, b := w.Segment(i, j)
+				x, y := ex.Segment(i, j)
+				if copy(slot[a:b], page[x:y]) != int(b-a) || b-a != y-x {
+					t.Fatalf("segment (%d, %d): slot [%d, %d), page [%d, %d)", i, j, a, b, x, y)
+				}
+			}
+		}
+		slot = slot[:w.Len(0)]
+		for j := lo; j < hi; j++ {
+			Arrange(w, j, slot)
+		}
+		out = append(out, slot...)
+	}
+	return out
 }

@@ -89,68 +89,43 @@ func PermuteSlice[T any](data []T, chunks int, opt Options) ([]T, error) {
 // permute is the shared implementation: it returns the flat backing
 // slice, laid out in target-block order.
 func permute[T any](in [][]T, outSizes []int64, opt Options) ([]T, error) {
-	n, err := blockTotals(in, outSizes)
-	if err != nil {
+	if _, err := blockTotals(in, outSizes); err != nil {
 		return nil, err
 	}
 	rowM := make([]int64, len(in))
 	for i, b := range in {
 		rowM[i] = int64(len(b))
 	}
-	return scatterBlocks(n, rowM, outSizes, opt, func(i int, rng *xrand.Xoshiro256, row, starts []int64, flat []T) {
-		routeBlock(rng, in[i], row, starts, flat)
+	c := NewCGM(opt.Seed, rowM, outSizes)
+	return scatterBlocks(c, opt, func(w *Window, i int, flat []T) {
+		routeBlock(c.streams[1+i].Clone(), in[i], c.a.Row(i), w.at[i], flat)
 	})
 }
 
-// scatterBlocks is the data-independent frame of permute: n items in
-// source blocks of sizes rowM are redistributed into target blocks of
-// sizes outSizes. route moves source block i's items into flat with
-// that block's stream, matrix row and write offsets (routeBlock or
-// routeIota); it runs once per source block, so only its own loop
-// touches items.
-func scatterBlocks[T any](n int64, rowM, outSizes []int64, opt Options,
-	route func(i int, rng *xrand.Xoshiro256, row, starts []int64, flat []T),
-) ([]T, error) {
-	p, pp := len(rowM), len(outSizes)
-
-	// Stream 0 samples the matrix; streams 1..p route the source
-	// blocks, streams p+1..p+pp shuffle the target blocks. Binding
-	// streams to blocks (not workers) makes the output independent of
-	// the worker schedule.
-	streams := xrand.NewStreams(opt.Seed, 1+p+pp)
+// scatterBlocks runs rounds 2 and 3 of c in one process, into one
+// shared slice laid out by w, the window of every target block: route
+// moves source block i's items into flat (routeBlock or RouteIota); it
+// runs once per source block, so only its own loop touches items. Then
+// every target block is arranged in place.
+func scatterBlocks[T any](c *CGM, opt Options, route func(w *Window, i int, flat []T)) ([]T, error) {
+	p, pp := c.a.Rows(), c.a.Cols()
 	// No phase is wider than max(p, pp) tasks, so a larger pool would
 	// only spawn idle workers (and their streams).
 	pool := NewPoolCancel(min(opt.workers(), max(p, pp)), opt.Seed, opt.Cancel)
 	defer pool.Close()
 
-	// Phase 1: one exact communication-matrix sample plus the prefix
-	// sums that turn it into disjoint scatter ranges. The range
-	// [starts[i][j], starts[i][j]+a[i][j]) is owned exclusively by
-	// source i, so phase 2's writes never overlap.
-	a := commat.SampleSeq(streams[0], rowM, outSizes)
-	colOff := make([]int64, pp)
-	var run int64
-	for j, s := range outSizes {
-		colOff[j] = run
-		run += s
-	}
-	starts := scatterStarts(a, colOff)
-
-	// Phase 2: scatter every source block straight into the output
+	// Round 2: scatter every source block straight into the output
 	// (the paper's phases 1 and 3 fused into a single pass, see
-	// routeBlock).
-	flat := make([]T, n)
-	if err := pool.For(p, func(i int) {
-		route(i, streams[1+i], a.Row(i), starts[i], flat)
-	}); err != nil {
+	// routeBlock). The window spans every target block, so its
+	// segments partition flat and the writes never overlap.
+	w := c.Window(0, pp)
+	flat := make([]T, w.Len(0))
+	if err := pool.For(p, func(i int) { route(w, i, flat) }); err != nil {
 		return nil, err
 	}
 
-	// Phase 3: uniform local permutation of each target block, mixing
-	// the contributions of all sources (the paper's phase 4).
-	if err := pool.For(pp, func(j int) {
-		shuffleX(streams[1+p+j], flat[colOff[j]:colOff[j]+outSizes[j]])
-	}); err != nil {
+	// Round 3: uniform local permutation of each target block.
+	if err := pool.For(pp, func(j int) { Arrange(w, j, flat) }); err != nil {
 		return nil, err
 	}
 	return flat, nil
@@ -170,23 +145,11 @@ func routeBlock[T any](rng *xrand.Xoshiro256, src []T, row, starts []int64, flat
 	if len(src) == 0 {
 		return
 	}
-	labels := ArrangeRow(rng, row)
+	labels := arrangeRow(rng, row)
 	fill := append([]int64(nil), starts...)
 	for i, v := range src {
 		j := labels[i]
 		flat[fill[j]] = v
-		fill[j]++
-	}
-}
-
-// routeIota is routeBlock for the source block of the identity that
-// starts at index off: it writes each item's index where routeBlock
-// reads the item, from the same draws.
-func routeIota[T int32 | int64](rng *xrand.Xoshiro256, off int64, row, starts []int64, flat []T) {
-	labels := ArrangeRow(rng, row)
-	fill := append([]int64(nil), starts...)
-	for i, j := range labels {
-		flat[fill[j]] = T(off + int64(i))
 		fill[j]++
 	}
 }

@@ -403,27 +403,25 @@ func permQuery(r *http.Request) *query.Reader {
 	return query.New(q)
 }
 
-// permuterFor reads the permutation a /v1/perm/* request names from rd
-// — the seed, n and backend, with the MaxN gate on materializing
-// backends — and, when they read clean, resolves its cached handle
-// entry, before the caller reads the rest of rd: a request refused for
-// its range still counts as a cache lookup. It returns ok == false when
-// resolve answered an error itself; a fault left in rd is the caller's
-// to answer.
-func (s *Server) permuterFor(w http.ResponseWriter, r *http.Request, rd *query.Reader) (e *handleEntry, n int64, backend randperm.Backend, ok bool) {
+// permKey reads the permutation a /v1/perm/* request names from rd —
+// the seed, n and backend, with the MaxN gate on materializing backends
+// — and, when they read clean, records it on the request. The caller
+// resolves the key only once the rest of rd reads clean and the quota
+// admits the request, so a refused request costs no cache lookup.
+func (s *Server) permKey(r *http.Request, rd *query.Reader) handleKey {
 	seed := rd.Seed("seed")
-	n = rd.Int("n", -1)
+	n := rd.Int("n", -1)
 	rd.Check(n >= 0, "missing or negative n: the domain size n is required")
-	backend = backendQuery(rd, s.defBackend)
+	backend := backendQuery(rd, s.defBackend)
 	if backend != randperm.BackendBijective {
 		rd.Check(n <= s.cfg.MaxN, "n=%d exceeds this server's materialization bound %d for backend %s; use backend=bijective for larger domains",
 			n, s.cfg.MaxN, backend)
 	}
-	if rd.Err() != nil {
-		return nil, n, backend, true
+	if rd.Err() == nil {
+		rec := recordOf(r)
+		rec.N, rec.Seed, rec.Backend = n, seed, backend.String()
 	}
-	e, ok = s.resolve(w, r, handleKey{n: n, seed: seed, backend: backend})
-	return e, n, backend, ok
+	return handleKey{n: n, seed: seed, backend: backend}
 }
 
 // resolve fetches key's handle from the cache, constructing it on a
@@ -516,15 +514,16 @@ func (s *Server) buildRefused(w http.ResponseWriter, r *http.Request, err error)
 // case the response streams through the pooled buffer page by page.
 func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 	rd := permQuery(r)
-	e, n, backend, ok := s.permuterFor(w, r, rd)
-	if !ok {
-		return
-	}
-	start, length := s.rangeQuery(rd, n)
+	key := s.permKey(r, rd)
+	start, length := s.rangeQuery(rd, key.n)
 	if s.refused(w, rd) || !s.admitItems(w, r, max(length, 1)) {
 		return
 	}
-	if backend == randperm.BackendCluster && s.node != nil {
+	e, ok := s.resolve(w, r, key)
+	if !ok {
+		return
+	}
+	if key.backend == randperm.BackendCluster && s.node != nil {
 		s.serveClusterRange(w, r, e, start, length)
 		return
 	}
@@ -920,12 +919,13 @@ func (d *decimalWriter) flush() error {
 // layer can paper over.
 func (s *Server) handleAt(w http.ResponseWriter, r *http.Request) {
 	rd := permQuery(r)
-	e, n, _, ok := s.permuterFor(w, r, rd)
-	if !ok {
+	key := s.permKey(r, rd)
+	i := rd.Index("i", key.n)
+	if s.refused(w, rd) || !s.admitItems(w, r, 1) {
 		return
 	}
-	i := rd.Index("i", n)
-	if s.refused(w, rd) || !s.admitItems(w, r, 1) || !s.admitBuild(w, r, e, nil) {
+	e, ok := s.resolve(w, r, key)
+	if !ok || !s.admitBuild(w, r, e, nil) {
 		return
 	}
 	// Read through Chunk rather than At: same bytes, but an

@@ -695,6 +695,48 @@ func TestCacheEviction(t *testing.T) {
 	}
 }
 
+// TestRefusedRequestsSkipCache: a /v1/perm/* request refused 400 for
+// its range or index, or 429 by the quota, resolves no handle — it
+// neither inserts a cache entry nor evicts the hot one from a
+// capacity-1 cache — yet its request event still names the permutation
+// it asked for, with no cache outcome.
+func TestRefusedRequestsSkipCache(t *testing.T) {
+	s := newTestServer(t, Config{MaxHandles: 1, Quota: QuotaConfig{Default: QuotaSpec{Rate: 1, Burst: 1000}}})
+	warm := "/v1/perm/1/chunk?n=100&len=4"
+	if code, _ := get(t, s, warm); code != http.StatusOK {
+		t.Fatalf("warming: status %d", code)
+	}
+	sub, err := s.bus.Subscribe(events.TypeSet(0).With(events.TypeRequest), s.bus.LastSeq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	for _, tc := range []struct {
+		path string
+		code int
+		seed uint64
+	}{
+		{"/v1/perm/2/chunk?n=100&start=101", http.StatusBadRequest, 2},
+		{"/v1/perm/3/at?n=100&i=100", http.StatusBadRequest, 3},
+		{"/v1/perm/4/chunk?n=100000&len=5000", http.StatusTooManyRequests, 4},
+	} {
+		if code, body := get(t, s, tc.path); code != tc.code {
+			t.Fatalf("%s: status %d, want %d: %s", tc.path, code, tc.code, body)
+		}
+		ev := <-sub.Events()
+		if ev.Seed != tc.seed || ev.N == 0 || ev.Backend != "bijective" || ev.Cache != "" {
+			t.Errorf("%s: request event seed=%d n=%d backend=%q cache=%q, want seed %d, its n, bijective and no cache outcome",
+				tc.path, ev.Seed, ev.N, ev.Backend, ev.Cache, tc.seed)
+		}
+	}
+	if code, _ := get(t, s, warm); code != http.StatusOK {
+		t.Fatalf("re-reading: status %d", code)
+	}
+	if hits, misses, evictions := s.met.cacheHits.Load(), s.met.cacheMisses.Load(), s.met.cacheEvictions.Load(); hits != 1 || misses != 1 || evictions != 0 {
+		t.Errorf("cache hits/misses/evictions = %d/%d/%d, want 1/1/0: the refused requests touched the cache", hits, misses, evictions)
+	}
+}
+
 // TestCacheErrorNotCached: a failed construction must not poison the
 // key; the next request retries and can succeed.
 func TestCacheErrorNotCached(t *testing.T) {
