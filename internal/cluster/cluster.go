@@ -96,7 +96,7 @@ type Config struct {
 	Replicas int
 	// MaxShards caps the node's shard cache (default 8 * Replicas, so
 	// the default working set scales with replica duty). Each resident
-	// shard for a size-n domain holds about 8n/len(Peers) bytes.
+	// shard for a size-n domain holds about 4n/len(Peers) bytes.
 	MaxShards int
 	// MaxN, when positive, bounds the domain size the peer-facing
 	// endpoints accept — the cluster-side mirror of the service
@@ -339,11 +339,12 @@ type shardKey struct {
 	seed uint64
 }
 
-// Shard is one slot's slice of one permutation: Vals[i] == π(Start+i)
-// for the cluster permutation π of (seed, n, Procs).
+// Shard is one slot's slice of one permutation: its store holds
+// π(Start), π(Start+1), ... π(End-1) of the cluster permutation π of
+// (seed, n, Procs), 4 bytes per position when n <= 2^31-1 and 8 above.
 type Shard struct {
 	Start, End int64
-	Vals       []int64
+	engine.Positions
 }
 
 // shard returns the cached shard for (slot, n, seed), building it on
@@ -352,7 +353,7 @@ type Shard struct {
 func (nd *Node) shard(slot int, n int64, seed uint64) (*Shard, error) {
 	sh, _, err := nd.shards.Get(shardKey{slot: slot, n: n, seed: seed}, func() (*Shard, error) {
 		began := time.Now()
-		sh, err := nd.buildShard(slot, n, seed)
+		sh, err := engine.ByWidth(n, buildShard[int32], buildShard[int64])(nd, slot, n, seed)
 		if err == nil {
 			nd.shardBuilds.Add(1)
 			nd.shardBuildNs.Add(time.Since(began).Nanoseconds())
@@ -363,12 +364,12 @@ func (nd *Node) shard(slot int, n int64, seed uint64) (*Shard, error) {
 }
 
 // buildShard runs the three rounds for slot's shard of the (seed, n)
-// permutation. The slot need not be this node's own: a replica build
-// runs the identical rounds and produces identical bytes, because
-// nothing below depends on Self except which source blocks are
-// routed locally versus fetched — and both paths realize the same
-// matrix entries from the same streams.
-func (nd *Node) buildShard(slot int, n int64, seed uint64) (*Shard, error) {
+// permutation, stored as T. The slot need not be this node's own: a
+// replica build runs the identical rounds and produces identical
+// bytes, because nothing below depends on Self except which source
+// blocks are routed locally versus fetched — and both paths realize
+// the same matrix entries from the same streams.
+func buildShard[T int32 | int64](nd *Node, slot int, n int64, seed uint64) (*Shard, error) {
 	p, nodes, self := nd.cfg.Procs, len(nd.cfg.Peers), nd.cfg.Self
 	blo, bhi := blockSpan(p, nodes, slot)
 
@@ -382,16 +383,18 @@ func (nd *Node) buildShard(slot int, n int64, seed uint64) (*Shard, error) {
 	// The shard is the window of the slot's target blocks; one spare
 	// slot past it is round 2's sink.
 	win := cgm.Window(blo, bhi)
-	buf := make([]int64, win.Len(0)+1)
+	buf := make([]T, win.Len(0)+1)
 	vals := buf[:win.Len(0)]
 
 	// Round 2, local half: every source block belonging to a slot this
 	// node replicates is routed locally — replicas are free, so no wire
 	// traffic is spent on payloads this node can derive itself.
 	began = time.Now()
+	var labels []int32
 	for i := 0; i < p; i++ {
 		if nd.hasDuty(self, ownerOfBlock(p, nodes, i)) {
-			engine.RouteIota(win, i, cgm.Labels(i), buf)
+			labels = cgm.LabelsInto(labels, i)
+			engine.RouteIota(win, i, labels, buf)
 		}
 	}
 
@@ -402,7 +405,7 @@ func (nd *Node) buildShard(slot int, n int64, seed uint64) (*Shard, error) {
 	// segment is verified against our own matrix entry before
 	// placement. Slots are fetched concurrently — their target segments
 	// are disjoint by construction.
-	seg := func(i, j int) []int64 {
+	seg := func(i, j int) []T {
 		lo, hi := win.Segment(i, j)
 		return vals[lo:hi]
 	}
@@ -415,7 +418,7 @@ func (nd *Node) buildShard(slot int, n int64, seed uint64) (*Shard, error) {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			errs[s] = nd.fetchExchangeSlot(s, slot, n, seed, cgm.Matrix(), seg)
+			errs[s] = fetchExchangeSlot(nd, s, slot, n, seed, cgm.Matrix(), seg)
 		}(s)
 	}
 	wg.Wait()
@@ -440,5 +443,5 @@ func (nd *Node) buildShard(slot int, n int64, seed uint64) (*Shard, error) {
 	}
 	nd.publishRound(slot, 3, n, seed, time.Since(began), "arrange")
 	start, end := nd.ShardRange(n, slot)
-	return &Shard{Start: start, End: end, Vals: vals}, nil
+	return &Shard{Start: start, End: end, Positions: engine.PosSlice[T](vals)}, nil
 }

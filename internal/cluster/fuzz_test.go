@@ -62,13 +62,13 @@ func validLeg(tb testing.TB) (body []byte, a *commat.Matrix, maxA int64) {
 // figure counts: the decoder's own share is the same every run.
 func decodeTestLeg(body []byte, a *commat.Matrix) (allocated uint64, err error) {
 	p := testLeg.p
-	segs := make([][]int64, p*p)
+	segs := make([][]int32, p*p)
 	for i := 0; i < p; i++ {
 		for j := 0; j < p; j++ {
-			segs[i*p+j] = make([]int64, a.At(i, j))
+			segs[i*p+j] = make([]int32, a.At(i, j))
 		}
 	}
-	dst := func(i, j int) []int64 { return segs[i*p+j] }
+	dst := func(i, j int) []int32 { return segs[i*p+j] }
 	allocated = math.MaxUint64
 	for range 3 {
 		r := bytes.NewReader(body)
@@ -102,6 +102,48 @@ var corruptions = []struct {
 	{"wrong to echo", func(b []byte) []byte { b[32] ^= 2; return b }},
 	{"bad magic", func(b []byte) []byte { b[3] = '1'; return b }},
 	{"trailing bytes", func(b []byte) []byte { return append(b, 0) }},
+	{"payload value outside its source block", func(b []byte) []byte {
+		// Still in order, and the valid value again once narrowed to
+		// 4 bytes: only the block check can see it.
+		seg := longSegment(b)
+		last := seg[len(seg)-8:]
+		binary.LittleEndian.PutUint64(last, binary.LittleEndian.Uint64(last)+1<<32)
+		return b
+	}},
+	{"payload out of order", func(b []byte) []byte {
+		// The second value repeats the first: both lie in the block,
+		// but the segment no longer increases strictly.
+		seg := longSegment(b)
+		copy(seg[8:16], seg[:8])
+		return b
+	}},
+}
+
+// eachSegment calls f with the source block and the payload of every
+// segment of a testLeg body framed like the valid leg's.
+func eachSegment(b []byte, f func(i int, payload []byte)) {
+	sLo, sHi := blockSpan(testLeg.p, testLeg.nodes, testLeg.from)
+	tLo, tHi := blockSpan(testLeg.p, testLeg.nodes, testLeg.to)
+	off := exchangeHeaderLen
+	for i := sLo; i < sHi; i++ {
+		off += 4
+		for range tHi - tLo {
+			count := int(binary.LittleEndian.Uint64(b[off:]))
+			f(i, b[off+8:off+8+8*count])
+			off += 8 + 8*count
+		}
+	}
+}
+
+// longSegment returns the payload of the first segment of a valid
+// testLeg body holding at least two values.
+func longSegment(b []byte) (seg []byte) {
+	eachSegment(b, func(_ int, payload []byte) {
+		if seg == nil && len(payload) >= 16 {
+			seg = payload
+		}
+	})
+	return seg
 }
 
 // TestDecodeExchangeRejects: every corruption of a valid leg is an
@@ -128,8 +170,10 @@ func TestDecodeExchangeRejects(t *testing.T) {
 // FuzzDecodeExchange: on any body the decoder returns without panicking
 // and allocates at most one payload page (8 * max a_ij bytes) plus its
 // fixed slack. A body it accepts must have the valid leg's framing: the
-// same length and the same header — only payload values, which no
-// receiver can verify, may differ.
+// same length and the same header. Its payload values may differ from
+// the valid leg's, since no receiver can recompute them, but each
+// segment must hold strictly increasing indexes of its source block:
+// the rule RouteIota's source order makes checkable.
 func FuzzDecodeExchange(f *testing.F) {
 	valid, a, maxA := validLeg(f)
 	f.Add(valid)
@@ -147,6 +191,16 @@ func FuzzDecodeExchange(f *testing.F) {
 		if len(body) != len(valid) || !bytes.Equal(body[:exchangeHeaderLen], valid[:exchangeHeaderLen]) {
 			t.Fatalf("accepted a body with different framing (%d bytes, valid leg %d)", len(body), len(valid))
 		}
+		eachSegment(body, func(i int, payload []byte) {
+			prev, end := blockStart(testLeg.n, testLeg.p, i)-1, blockStart(testLeg.n, testLeg.p, i+1)
+			for k := 0; k < len(payload); k += 8 {
+				v := int64(binary.LittleEndian.Uint64(payload[k:]))
+				if v <= prev || v >= end {
+					t.Fatalf("accepted value %d of source block %d after %d; the block ends at %d", v, i, prev, end)
+				}
+				prev = v
+			}
+		})
 	})
 }
 

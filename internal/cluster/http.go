@@ -239,27 +239,33 @@ func (nd *Node) handleExchange(w http.ResponseWriter, r *http.Request) {
 	}
 
 	leg := exchangeLeg{seed: seed, n: n, p: nd.cfg.Procs, nodes: nodes, from: int(from), to: int(to)}
-	sizes := core.EvenBlocks(n, leg.p)
-	cgm := engine.NewCGM(seed, sizes, sizes)
+	w.Header().Set("Content-Type", "application/octet-stream")
+	nd.exchangeItems.Add(engine.ByWidth(n, writeExchange[int32], writeExchange[int64])(w, leg))
+}
+
+// writeExchange writes leg's response body to w and returns the values
+// it shipped, or 0 once a write fails. Each source block of the served
+// slot is routed into a reused page of T in exchange layout — its
+// segments for the target slot back to back, in target order — and
+// then encoded as on the wire: i, then per target its count and
+// payload.
+func writeExchange[T int32 | int64](w io.Writer, leg exchangeLeg) (shipped int64) {
+	sizes := core.EvenBlocks(leg.n, leg.p)
+	cgm := engine.NewCGM(leg.seed, sizes, sizes)
 	sLo, sHi := blockSpan(leg.p, leg.nodes, leg.from) // the served source slot's blocks
 	tLo, tHi := blockSpan(leg.p, leg.nodes, leg.to)   // the requested target slot's blocks
 	ex := cgm.Exchange(tLo, tHi)
-
-	w.Header().Set("Content-Type", "application/octet-stream")
 	wire := leg.appendHeader(make([]byte, 0, 1<<15))
 	if _, err := w.Write(wire); err != nil {
-		return
+		return 0
 	}
-	// Each source block is routed into a reused page in exchange layout
-	// — its segments for the target slot back to back, in target order
-	// — and then encoded as on the wire: i, then per target its count
-	// and payload.
-	var page []int64
-	var shipped int64
+	var page []T
+	var labels []int32
 	for i := sLo; i < sHi; i++ {
 		m := ex.Len(i)
 		page = slices.Grow(page[:0], int(m)+1)[:m+1]
-		engine.RouteIota(ex, i, cgm.Labels(i), page)
+		labels = cgm.LabelsInto(labels, i)
+		engine.RouteIota(ex, i, labels, page)
 		wire = binary.LittleEndian.AppendUint32(slices.Grow(wire[:0], 4+8*(tHi-tLo)+8*int(m)), uint32(int32(i)))
 		for j := tLo; j < tHi; j++ {
 			lo, hi := ex.Segment(i, j)
@@ -269,11 +275,11 @@ func (nd *Node) handleExchange(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		if _, err := w.Write(wire); err != nil {
-			return
+			return 0
 		}
 		shipped += m
 	}
-	nd.exchangeItems.Add(shipped)
+	return shipped
 }
 
 // exchangeLeg is the identity of one round-2 response, echoed in its
@@ -308,14 +314,14 @@ func (l exchangeLeg) appendHeader(b []byte) []byte {
 // the next replica on any error. Every attempt's failure is kept in
 // the returned chain (each wrapped as a *PeerError naming the peer and
 // round), so a fully dead replica set is diagnosable per peer.
-func (nd *Node) fetchExchangeSlot(from, to int, n int64, seed uint64, a *commat.Matrix, dst func(i, j int) []int64) error {
+func fetchExchangeSlot[T int32 | int64](nd *Node, from, to int, n int64, seed uint64, a *commat.Matrix, dst func(i, j int) []T) error {
 	cands := nd.health.rank(nd.replicasOf(from))
 	var attempts []error
 	for try, k := range cands {
 		if try > 0 {
 			nd.serveEvent(nd.failovers, k, RoundExchange, from, "failover")
 		}
-		err := nd.fetchExchange(k, from, to, n, seed, a, dst)
+		err := fetchExchange(nd, k, from, to, n, seed, a, dst)
 		if err == nil {
 			return nil
 		}
@@ -328,7 +334,7 @@ func (nd *Node) fetchExchangeSlot(from, to int, n int64, seed uint64, a *commat.
 // decodeExchange. Any failure — transport, status, framing or matrix
 // disagreement — comes back as a *PeerError carrying k's address and
 // the round.
-func (nd *Node) fetchExchange(k, from, to int, n int64, seed uint64, a *commat.Matrix, dst func(i, j int) []int64) error {
+func fetchExchange[T int32 | int64](nd *Node, k, from, to int, n int64, seed uint64, a *commat.Matrix, dst func(i, j int) []T) error {
 	leg := exchangeLeg{seed: seed, n: n, p: nd.cfg.Procs, nodes: len(nd.cfg.Peers), from: from, to: to}
 	u := fmt.Sprintf("%s/v1/cluster/exchange?n=%d&seed=%d&p=%d&nodes=%d&from=%d&to=%d",
 		nd.cfg.Peers[k], n, seed, leg.p, leg.nodes, from, to)
@@ -349,17 +355,19 @@ func (nd *Node) fetchExchange(k, from, to int, n int64, seed uint64, a *commat.M
 
 // decodeExchange parses one RPX2 response body for leg and decodes
 // every verified segment (i, j) into dst(i, j), a slice of exactly
-// a_ij values. The header must echo leg, source blocks must arrive in
-// sequence, every count must equal the local matrix entry — checked
-// before anything is allocated for the segment — and the body must end
-// after the last segment. Each segment's payload is read whole, with
+// a_ij values of T. The header must echo leg, source blocks must
+// arrive in sequence, every count must equal the local matrix entry —
+// checked before anything is allocated for the segment — every
+// payload must hold strictly increasing indexes of its source block —
+// checked before the segment is stored — and the body must end after
+// the last segment. Each segment's payload is read whole, with
 // one io.ReadFull, into a page sized once for the leg's largest a_ij,
 // so no response can make the decoder allocate more than that.
 //
 // dst must tolerate partial decoding before an error: segments are
 // verified before they are decoded and identical across replicas, so a
 // retry against another replica simply overwrites the same values.
-func decodeExchange(body io.Reader, leg exchangeLeg, a *commat.Matrix, dst func(i, j int) []int64) error {
+func decodeExchange[T int32 | int64](body io.Reader, leg exchangeLeg, a *commat.Matrix, dst func(i, j int) []T) error {
 	var hdr [exchangeHeaderLen]byte
 	if _, err := io.ReadFull(body, hdr[:]); err != nil {
 		return fmt.Errorf("reading header: %v", err)
@@ -414,9 +422,19 @@ func decodeExchange(body io.Reader, leg exchangeLeg, a *commat.Matrix, dst func(
 			if _, err := io.ReadFull(body, payload); err != nil {
 				return fmt.Errorf("reading segment payload: %v", err)
 			}
+			// RouteIota keeps source order: the segment must hold strictly
+			// increasing indexes of source block i, which all fit T.
+			first, end := blockStart(leg.n, leg.p, i), blockStart(leg.n, leg.p, i+1)
+			for t, prev := int64(0), first-1; t < count; t++ {
+				v := int64(binary.LittleEndian.Uint64(payload[8*t:]))
+				if v <= prev || v >= end {
+					return fmt.Errorf("payload of a[%d][%d] breaks source order: value %d at %d, want strictly increasing indexes of source block [%d, %d)", i, j, v, t, first, end)
+				}
+				prev = v
+			}
 			seg := dst(i, j)[:count]
 			for t := range seg {
-				seg[t] = int64(binary.LittleEndian.Uint64(payload[8*t:]))
+				seg[t] = T(binary.LittleEndian.Uint64(payload[8*t:]))
 			}
 		}
 	}
@@ -467,17 +485,18 @@ func (nd *Node) handleChunk(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	vals := sh.Vals[start-sh.Start : start-sh.Start+length]
-	page := make([]byte, min(chunkPage, 8*len(vals)))
-	for len(vals) > 0 {
-		m := min(len(vals), chunkPage/8)
+	vals := make([]int64, min(chunkPage/8, length))
+	page := make([]byte, 8*len(vals))
+	for at, end := start, start+length; at < end; {
+		m := min(int64(len(vals)), end-at)
+		sh.Read(vals[:m], at-sh.Start)
 		for t, v := range vals[:m] {
 			binary.LittleEndian.PutUint64(page[8*t:], uint64(v))
 		}
 		if _, err := w.Write(page[:8*m]); err != nil {
 			return
 		}
-		vals = vals[m:]
+		at += m
 	}
 	nd.chunkItems.Add(length)
 }

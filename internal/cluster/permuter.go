@@ -135,7 +135,7 @@ func (rd *Read) Finish() (int, error) {
 			rd.errs[s] = err
 			return
 		}
-		copy(span, sh.Vals[lo-sh.Start:])
+		sh.Read(span, lo-sh.Start)
 	}
 	for i, s := range local {
 		if i == len(local)-1 {

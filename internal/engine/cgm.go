@@ -61,16 +61,26 @@ func (c *CGM) Matrix() *commat.Matrix { return c.a }
 // Labels draws the label arrangement of source block i, round 2's one
 // draw: a uniformly random arrangement of {j repeated a_ij times}, so
 // labels[t] is the target block of the block's t-th item.
-func (c *CGM) Labels(i int) []int32 { return arrangeRow(c.streams[1+i].Clone(), c.a.Row(i)) }
+func (c *CGM) Labels(i int) []int32 { return c.LabelsInto(nil, i) }
 
-// arrangeRow draws the label arrangement of a matrix row from rng,
-// consuming exactly the draws routeBlock consumes for the same row.
-func arrangeRow(rng *xrand.Xoshiro256, row []int64) []int32 {
+// LabelsInto is Labels drawn into buf's storage when it has room, so a
+// caller routing one source block at a time reuses one buffer.
+func (c *CGM) LabelsInto(buf []int32, i int) []int32 {
+	return arrangeRow(c.streams[1+i].Clone(), c.a.Row(i), buf)
+}
+
+// arrangeRow draws the label arrangement of a matrix row from rng into
+// buf's storage, consuming exactly the draws routeBlock consumes for
+// the same row.
+func arrangeRow(rng *xrand.Xoshiro256, row []int64, buf []int32) []int32 {
 	var total int64
 	for _, c := range row {
 		total += c
 	}
-	labels := make([]int32, total)
+	if int64(cap(buf)) < total {
+		buf = make([]int32, total)
+	}
+	labels := buf[:total]
 	t := 0
 	for j, c := range row {
 		for x := int64(0); x < c; x++ {
@@ -136,10 +146,11 @@ func (w *Window) Segment(i, j int) (lo, hi int64) {
 // RouteIota is round 2 for source block i, whose items are its indexes
 // in [0, n): the t-th index goes to the next position of the segment of
 // target labels[t] in dst, so each segment keeps source order. labels
-// must be c.Labels(i). dst holds w.Len(i) values and then the sink. A
-// window that spans every target block writes no sink, so dst may end
-// at w.Len(i), and sources write disjoint positions of a shared Window
-// buffer: they may be routed concurrently.
+// must be c.Labels(i) or c.LabelsInto(buf, i). dst holds w.Len(i)
+// values and then the sink. A window that spans every target block
+// writes no sink, so dst may end at w.Len(i), and sources write
+// disjoint positions of a shared Window buffer: they may be routed
+// concurrently.
 func RouteIota[T int32 | int64](w *Window, i int, labels []int32, dst []T) {
 	// A target outside the window starts at the sink and never
 	// advances, which keeps the loop free of a data-dependent branch.

@@ -101,7 +101,7 @@ func TestArrangeRowMatchesRoute(t *testing.T) {
 	starts := []int64{0, 3, 3, 7}
 	routeBlock(a, src, row, starts, flat)
 
-	labels := arrangeRow(b, row)
+	labels := arrangeRow(b, row, nil)
 	if len(labels) != len(src) {
 		t.Fatalf("labels length %d, want %d", len(labels), len(src))
 	}

@@ -148,3 +148,40 @@ func Iota[T int32 | int64](n int) []T {
 	fillIota(out)
 	return out
 }
+
+// Positions is the one store of built permutation values — a
+// materialized permutation, a cluster shard or an exchange page:
+// PosSlice[int32] when Narrow(n), PosSlice[int64] otherwise.
+type Positions interface {
+	Read(dst []int64, start int64)    // widen the values at start, start+1, ... into all of dst
+	Vals(yield func(int, int64) bool) // yield every index with its widened value
+}
+
+// PosSlice stores positions as T: the store at either width.
+type PosSlice[T int32 | int64] []T
+
+func (s PosSlice[T]) Read(dst []int64, start int64) {
+	for i, v := range s[start : start+int64(len(dst))] {
+		dst[i] = int64(v)
+	}
+}
+
+func (s PosSlice[T]) Vals(yield func(int, int64) bool) {
+	for i, v := range s {
+		if !yield(i, int64(v)) {
+			return
+		}
+	}
+}
+
+// Narrow reports whether every value of a permutation of [0, n) fits 4 bytes.
+func Narrow(n int64) bool { return n <= 1<<31-1 }
+
+// ByWidth returns narrow, the int32 form of a build, when Narrow(n),
+// and wide, its int64 form, otherwise.
+func ByWidth[F any](n int64, narrow, wide F) F {
+	if Narrow(n) {
+		return narrow
+	}
+	return wide
+}

@@ -145,7 +145,7 @@ func routeBlock[T any](rng *xrand.Xoshiro256, src []T, row, starts []int64, flat
 	if len(src) == 0 {
 		return
 	}
-	labels := arrangeRow(rng, row)
+	labels := arrangeRow(rng, row, nil)
 	fill := append([]int64(nil), starts...)
 	for i, v := range src {
 		j := labels[i]

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"iter"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -88,38 +87,9 @@ type lazySource struct {
 // canceled build so the sync.Once can be re-armed.
 type permMat struct {
 	once  sync.Once
-	perm  positions
+	perm  engine.Positions
 	err   error
 	built atomic.Bool // set after a successful build, for Materialized
-}
-
-// positions is a built permutation in its storage type: []int32 when
-// narrow(n), []int64 otherwise.
-type positions interface {
-	// read widens π(start), π(start+1), ... into all of dst; the
-	// range is in bounds.
-	read(dst []int64, start int64)
-}
-
-type posSlice[T int32 | int64] []T
-
-func (s posSlice[T]) read(dst []int64, start int64) {
-	for i, v := range s[start : start+int64(len(dst))] {
-		dst[i] = int64(v)
-	}
-}
-
-// narrow reports whether a build of n positions is stored in 4 bytes
-// per position: every value of π is below n.
-func narrow(n int64) bool { return n <= math.MaxInt32 }
-
-func (l *lazySource) chunk(dst []int64, start int64) (int, error) {
-	perm, err := l.build(context.Background())
-	if err != nil {
-		return 0, err
-	}
-	perm.read(dst, start)
-	return len(dst), nil
 }
 
 func (l *lazySource) materialized() bool { return l.mat.Load().built.Load() }
@@ -130,14 +100,11 @@ func (l *lazySource) materialized() bool { return l.mat.Load().built.Load() }
 // swaps a fresh permMat into place so the next accessor retries instead
 // of replaying the error forever. The swap is a CompareAndSwap against
 // the permMat that ran the build, so a newer build is never clobbered.
-func (l *lazySource) build(ctx context.Context) (positions, error) {
+func (l *lazySource) build(ctx context.Context) (engine.Positions, error) {
 	m := l.mat.Load()
 	m.once.Do(func() {
-		if narrow(l.n) {
-			m.perm, m.err = materialize[int32](l.n, l.opt, ctx.Done())
-		} else {
-			m.perm, m.err = materialize[int64](l.n, l.opt, ctx.Done())
-		}
+		build := engine.ByWidth(l.n, materialize[int32], materialize[int64])
+		m.perm, m.err = build(l.n, l.opt, ctx.Done())
 		if m.err != nil && ctx.Err() != nil {
 			m.err = fmt.Errorf("randperm: materialize: %w", ctx.Err())
 		}
@@ -159,7 +126,7 @@ func (l *lazySource) build(ctx context.Context) (positions, error) {
 // from the indexes (engine.PermuteIota), which yields the same bytes
 // without allocating or copying an identity. cancel is threaded into
 // the engine worker pools; Sim has none and ignores it.
-func materialize[T int32 | int64](n int64, opt Options, cancel <-chan struct{}) (positions, error) {
+func materialize[T int32 | int64](n int64, opt Options, cancel <-chan struct{}) (engine.Positions, error) {
 	var perm []T
 	var err error
 	if opt.Backend == BackendSim {
@@ -167,7 +134,7 @@ func materialize[T int32 | int64](n int64, opt Options, cancel <-chan struct{}) 
 	} else {
 		perm, err = engine.PermuteIota[T](opt.Backend.internal(), int(n), opt.Procs, opt.engineOptions(cancel))
 	}
-	return posSlice[T](perm), err
+	return engine.PosSlice[T](perm), err
 }
 
 // NewPermuter validates the options and returns a handle on the
@@ -229,7 +196,12 @@ func (p *Permuter) Chunk(dst []int64, start int64) (int, error) {
 		p.bij.Chunk(dst, start)
 		return len(dst), nil
 	}
-	return p.lazy.chunk(dst, start)
+	perm, err := p.lazy.build(context.Background())
+	if err != nil {
+		return 0, err
+	}
+	perm.Read(dst, start)
+	return len(dst), nil
 }
 
 // At returns π(i), the single position i of the permutation. i must be
