@@ -46,12 +46,6 @@ type compareReport struct {
 	// endpoint driven over a real loopback connection, the number
 	// BENCHMARKS.md's "serving" section tracks.
 	Serving *servingResult `json:"serving,omitempty"`
-	// Cluster holds the loopback multi-node measurements (-cluster):
-	// N full permd handlers wired as a cluster, the whole domain pulled
-	// through node 0's public chunk endpoint — shard build, exchange
-	// rounds, local serving and peer proxying all included. The numbers
-	// BENCHMARKS.md's "Cluster" section tracks.
-	Cluster []clusterResult `json:"cluster,omitempty"`
 }
 
 // servingResult is one measurement of the permd chunk endpoint: req/s
@@ -66,97 +60,6 @@ type servingResult struct {
 	BestNs    int64   `json:"best_req_ns"`
 	NsPerItem float64 `json:"ns_per_item"`
 	ReqPerS   float64 `json:"req_per_sec"`
-}
-
-// clusterResult is one loopback cluster measurement: a full pull of an
-// n-value cluster permutation through one node's public HTTP endpoint.
-type clusterResult struct {
-	Nodes     int     `json:"nodes"`
-	N         int64   `json:"n"`
-	Procs     int     `json:"procs"`
-	Trials    int     `json:"trials"`
-	BestNs    int64   `json:"best_ns"`
-	NsPerItem float64 `json:"ns_per_item"`
-}
-
-// runCluster boots `nodes` full permd handlers in cluster mode on
-// loopback listeners and times, best of `trials`, a cold pull of the
-// whole n-value permutation through node 0's chunk endpoint — each
-// trial re-seeds, so every pull pays the shard builds, the h-relation
-// exchange between all nodes and the cross-shard proxying, exactly the
-// work a fresh cluster permutation costs in production.
-func runCluster(nodes int, n int64, p, trials int, seed uint64) (*clusterResult, error) {
-	if n <= 0 {
-		n = 1 << 20
-	}
-	if trials <= 0 {
-		trials = 3
-	}
-	if p < nodes {
-		p = nodes
-	}
-	listeners := make([]net.Listener, nodes)
-	peers := make([]string, nodes)
-	for k := range listeners {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		listeners[k] = ln
-		peers[k] = "http://" + ln.Addr().String()
-	}
-	servers := make([]*http.Server, nodes)
-	for k := range servers {
-		handler, err := service.New(service.Config{
-			Procs:        p,
-			MaxN:         n,
-			ClusterPeers: peers,
-			ClusterNode:  k,
-		})
-		if err != nil {
-			return nil, err
-		}
-		servers[k] = &http.Server{Handler: handler}
-		go servers[k].Serve(listeners[k])
-		defer servers[k].Close()
-	}
-
-	fetch := func(s uint64) error {
-		url := fmt.Sprintf("%s/v1/perm/%d/chunk?n=%d&len=%d&backend=cluster", peers[0], s, n, n)
-		resp, err := http.Get(url)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
-			return err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("cluster bench: status %s", resp.Status)
-		}
-		return nil
-	}
-	if err := fetch(seed); err != nil { // warm-up: TCP setup, pool spin-up
-		return nil, err
-	}
-	best := time.Duration(1<<63 - 1)
-	for t := 0; t < trials; t++ {
-		start := time.Now()
-		if err := fetch(seed + uint64(t) + 1); err != nil {
-			return nil, err
-		}
-		if d := time.Since(start); d < best {
-			best = d
-		}
-	}
-	return &clusterResult{
-		Nodes:     nodes,
-		N:         n,
-		Procs:     p,
-		Trials:    trials,
-		BestNs:    best.Nanoseconds(),
-		NsPerItem: float64(best.Nanoseconds()) / float64(n),
-	}, nil
 }
 
 // runServe measures the served-chunk path: a permd handler on a loopback
@@ -245,7 +148,7 @@ func profileBackend(dir, backend string, run func() error) error {
 // figure is the best of `trials` runs, the conventional way to strip
 // scheduler noise from a throughput measurement. With a non-empty
 // profDir each backend's loop additionally writes a CPU profile there.
-func runCompare(n int64, p, workers, trials int, which string, seed uint64, serve, clusterB, asJSON bool, profDir string) error {
+func runCompare(n int64, p, workers, trials int, which string, seed uint64, serve, asJSON bool, profDir string) error {
 	if n <= 0 {
 		n = 1 << 20
 	}
@@ -341,18 +244,6 @@ func runCompare(n int64, p, workers, trials int, which string, seed uint64, serv
 		}
 		rep.Serving = sr
 	}
-	if clusterB {
-		// 2/4 track small deployments; 8/16 record how the loopback
-		// cluster scales as the exchange fan-out grows (informational —
-		// permgate ignores cluster points, matching the loopback policy).
-		for _, nodes := range []int{2, 4, 8, 16} {
-			cr, err := runCluster(nodes, n, p, trials, seed)
-			if err != nil {
-				return err
-			}
-			rep.Cluster = append(rep.Cluster, *cr)
-		}
-	}
 
 	if asJSON {
 		enc := json.NewEncoder(os.Stdout)
@@ -379,10 +270,6 @@ func runCompare(n int64, p, workers, trials int, which string, seed uint64, serv
 		s := rep.Serving
 		fmt.Printf("served chunk (HTTP, %s, n=2^40, %d values/req): %.0f req/s, %.2f ns/item\n",
 			s.Backend, s.ChunkLen, s.ReqPerS, s.NsPerItem)
-	}
-	for _, c := range rep.Cluster {
-		fmt.Printf("loopback cluster (%d nodes, n=%d, p=%d, cold full pull): %.2f ms, %.2f ns/item\n",
-			c.Nodes, c.N, c.Procs, float64(c.BestNs)/1e6, c.NsPerItem)
 	}
 	return nil
 }

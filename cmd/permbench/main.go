@@ -19,7 +19,6 @@
 //	permbench -compare -n 1000000 -p 8          # five-way table
 //	permbench -compare -json > BENCH_backends.json  # ns/item per backend
 //	permbench -compare -backend inplace -workers 4  # one backend only
-//	permbench -compare -cluster                 # + loopback 2/4/8/16-node clusters
 //	permbench -compare -profile /tmp/prof       # + pprof CPU profile per backend
 package main
 
@@ -52,13 +51,12 @@ func main() {
 		workers  = flag.Int("workers", 0, "worker-pool cap for -compare (0 = GOMAXPROCS)")
 		backends = flag.String("backend", "all", "backends for -compare: sim, shmem, inplace, bijective, cluster or all")
 		serve    = flag.Bool("serve", false, "with -compare, also measure permd's HTTP chunk path (req/s, ns/item)")
-		clusterB = flag.Bool("cluster", false, "with -compare, also measure loopback 2/4/8/16-node permd clusters end to end")
 		jsonOut  = flag.Bool("json", false, "with -compare, emit machine-readable JSON")
 	)
 	flag.Parse()
 
 	if *cmp {
-		if err := runCompare(*n, *cmpP, *workers, *trials, *backends, *seed+1, *serve, *clusterB, *jsonOut, *profDir); err != nil {
+		if err := runCompare(*n, *cmpP, *workers, *trials, *backends, *seed+1, *serve, *jsonOut, *profDir); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

@@ -21,10 +21,7 @@
 //     from one box, so the gate is meant to catch step regressions
 //     (an accidental O(n log n), a dropped batch path), not 5% jitter;
 //   - the serving measurement is gated the same way when both reports
-//     carry one;
-//   - loopback cluster points are reported but never gated: they time
-//     whole multi-node HTTP round trips, where scheduler noise on a
-//     shared runner routinely exceeds any sensible tolerance.
+//     carry one.
 package main
 
 import (
@@ -45,10 +42,6 @@ type report struct {
 	Serving *struct {
 		NsPerItem float64 `json:"ns_per_item"`
 	} `json:"serving,omitempty"`
-	Cluster []struct {
-		Nodes     int     `json:"nodes"`
-		NsPerItem float64 `json:"ns_per_item"`
-	} `json:"cluster,omitempty"`
 }
 
 func loadReport(path string) (*report, error) {
@@ -123,10 +116,6 @@ func run(args []string, w io.Writer) (pass bool, err error) {
 	}
 	if base.Serving != nil && cur.Serving != nil {
 		verdict("serving", base.Serving.NsPerItem, cur.Serving.NsPerItem)
-	}
-	for _, c := range cur.Cluster {
-		fmt.Fprintf(w, "cluster/%d  %37.2f ns/item  (informational, not gated)\n",
-			c.Nodes, c.NsPerItem)
 	}
 	if pass {
 		fmt.Fprintf(w, "PASS: no backend regressed more than %.0f%% against %s\n",

@@ -124,24 +124,3 @@ func TestGateRequiresCurrent(t *testing.T) {
 		t.Fatal("missing -current accepted")
 	}
 }
-
-func TestGateInformationalCluster(t *testing.T) {
-	dir := t.TempDir()
-	base := write(t, dir, "base.json", `{"results": [{"backend": "shmem", "ns_per_item": 10.0}]}`)
-	// A terrible cluster number must not fail the gate.
-	cur := write(t, dir, "cur.json", `{
-	  "results": [{"backend": "shmem", "ns_per_item": 10.0}],
-	  "cluster": [{"nodes": 2, "ns_per_item": 900.0}]
-	}`)
-	var out strings.Builder
-	pass, err := run([]string{"-baseline", base, "-current", cur}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pass {
-		t.Fatalf("informational cluster point failed the gate:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "not gated") {
-		t.Fatalf("cluster line missing:\n%s", out.String())
-	}
-}

@@ -245,44 +245,20 @@ func (nd *Node) Procs() int    { return nd.cfg.Procs }
 func (nd *Node) Replicas() int { return nd.cfg.Replicas }
 
 // blockSpan returns the contiguous block range [lo, hi) slot k owns out
-// of p blocks distributed as evenly as possible over `nodes` slots (the
-// first p mod nodes slots own one extra block).
+// of p blocks laid out over `nodes` slots by core.EvenBlocks.
 func blockSpan(p, nodes, k int) (lo, hi int) {
-	q, r := p/nodes, p%nodes
-	lo = k*q + min(k, r)
-	hi = lo + q
-	if k < r {
-		hi++
-	}
-	return lo, hi
+	return int(core.BlockStart(int64(p), nodes, k)), int(core.BlockStart(int64(p), nodes, k+1))
 }
 
 // ownerOfBlock inverts blockSpan: the slot owning block b.
-func ownerOfBlock(p, nodes, b int) int {
-	q, r := p/nodes, p%nodes
-	if t := r * (q + 1); b < t {
-		return b / (q + 1)
-	} else {
-		return r + (b-t)/q
-	}
-}
+func ownerOfBlock(p, nodes, b int) int { return core.BlockOf(int64(p), nodes, int64(b)) }
 
-// blockOfIndex returns the even-layout block containing global index
-// idx, inverting core.EvenBlocks arithmetic without materializing it.
-func blockOfIndex(n int64, p int, idx int64) int {
-	base, rem := n/int64(p), n%int64(p)
-	if t := rem * (base + 1); idx < t {
-		return int(idx / (base + 1))
-	} else {
-		return int(rem + (idx-t)/base)
-	}
-}
+// blockOfIndex returns the even-layout block containing global index idx.
+func blockOfIndex(n int64, p int, idx int64) int { return core.BlockOf(n, p, idx) }
 
 // blockStart returns the first global index of even-layout block b, for
-// 0 <= b <= p: the first n mod p blocks hold one index more.
-func blockStart(n int64, p, b int) int64 {
-	return int64(b)*(n/int64(p)) + min(int64(b), n%int64(p))
-}
+// 0 <= b <= p.
+func blockStart(n int64, p, b int) int64 { return core.BlockStart(n, p, b) }
 
 // replicasOf returns the nodes owning shard slot k, primary first: the
 // R consecutive nodes starting at k, mod the cluster size.

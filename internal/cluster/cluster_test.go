@@ -113,7 +113,9 @@ func TestClusterShardStrictlyLocal(t *testing.T) {
 		if sh.Start != lo || sh.End != hi {
 			t.Fatalf("node %d: shard [%d, %d), want [%d, %d)", k, sh.Start, sh.End, lo, hi)
 		}
-		for i, v := range sh.Vals {
+		got := make([]int64, hi-lo)
+		sh.Read(got, 0)
+		for i, v := range got {
 			if v != want[lo+int64(i)] {
 				t.Fatalf("node %d: shard value %d diverged", k, i)
 			}

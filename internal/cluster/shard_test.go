@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 )
@@ -32,16 +33,16 @@ func TestShardWidthsAgree(t *testing.T) {
 					if lo, hi := nd.ShardRange(n, k); sh.Start != lo || sh.End != hi {
 						t.Fatalf("N=%d n=%d slot %d: shard [%d, %d), want [%d, %d)", nodes, n, k, sh.Start, sh.End, lo, hi)
 					}
-					var got int64
-					for i, v := range sh.Vals {
+					if l := int64(reflect.ValueOf(sh.Positions).Len()); l != sh.End-sh.Start {
+						t.Fatalf("N=%d n=%d slot %d, %T store: %d values, want %d", nodes, n, k, sh.Positions, l, sh.End-sh.Start)
+					}
+					got := make([]int64, sh.End-sh.Start)
+					sh.Read(got, 0)
+					for i, v := range got {
 						if v != want[sh.Start+int64(i)] {
 							t.Fatalf("N=%d n=%d slot %d, %T store: π(%d) = %d, want %d",
 								nodes, n, k, sh.Positions, sh.Start+int64(i), v, want[sh.Start+int64(i)])
 						}
-						got++
-					}
-					if got != sh.End-sh.Start {
-						t.Fatalf("N=%d n=%d slot %d, %T store: %d values, want %d", nodes, n, k, sh.Positions, got, sh.End-sh.Start)
 					}
 				}
 				for to := range nodes {

@@ -58,6 +58,30 @@ func TestEvenBlocksPanics(t *testing.T) {
 	EvenBlocks(10, 0)
 }
 
+// TestBlockStartBlockOf checks the closed forms against the prefix sums
+// of EvenBlocks: every block's start, and the block of every index.
+func TestBlockStartBlockOf(t *testing.T) {
+	for _, p := range []int{1, 3, 8, 16} {
+		for _, n := range []int64{0, 1, int64(p) - 1, int64(p), 1_000_003} {
+			var start int64
+			for b, size := range EvenBlocks(n, p) {
+				if got := BlockStart(n, p, b); got != start {
+					t.Fatalf("BlockStart(%d, %d, %d) = %d, want %d", n, p, b, got, start)
+				}
+				for i := start; i < start+size; i++ {
+					if got := BlockOf(n, p, i); got != b {
+						t.Fatalf("BlockOf(%d, %d, %d) = %d, want %d", n, p, i, got, b)
+					}
+				}
+				start += size
+			}
+			if got := BlockStart(n, p, p); got != n {
+				t.Fatalf("BlockStart(%d, %d, %d) = %d, want %d", n, p, p, got, n)
+			}
+		}
+	}
+}
+
 func TestSplitFlattenRoundtrip(t *testing.T) {
 	f := func(n16 uint16, p8 uint8) bool {
 		n := int64(n16 % 5000)

@@ -14,9 +14,10 @@ import (
 )
 
 // EvenBlocks returns block sizes for n items over p processors, as equal
-// as possible (the first n mod p blocks get one extra item). This is the
-// symmetric M = n/p layout the paper's parallel algorithms are stated
-// for; all code also accepts ragged layouts.
+// as possible. This is the symmetric M = n/p layout the paper's parallel
+// algorithms are stated for; all code also accepts ragged layouts. The
+// layout has one rule, which BlockStart and BlockOf apply without
+// materializing the sizes: the first n mod p blocks get one more item.
 func EvenBlocks(n int64, p int) []int64 {
 	if p <= 0 || n < 0 {
 		panic("core: EvenBlocks needs p > 0 and n >= 0")
@@ -31,6 +32,23 @@ func EvenBlocks(n int64, p int) []int64 {
 		}
 	}
 	return sizes
+}
+
+// BlockStart returns the first index of block b of EvenBlocks(n, p),
+// for 0 <= b <= p; BlockStart(n, p, p) is n.
+func BlockStart(n int64, p, b int) int64 {
+	return int64(b)*(n/int64(p)) + min(int64(b), n%int64(p))
+}
+
+// BlockOf returns the block of EvenBlocks(n, p) that holds index i,
+// for 0 <= i < n; it inverts BlockStart.
+func BlockOf(n int64, p int, i int64) int {
+	base, rem := n/int64(p), n%int64(p)
+	t := rem * (base + 1)
+	if i < t {
+		return int(i / (base + 1))
+	}
+	return int(rem + (i-t)/base)
 }
 
 // BlockSizes returns the sizes of the given blocks as an int64 vector

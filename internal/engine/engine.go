@@ -153,8 +153,7 @@ func Iota[T int32 | int64](n int) []T {
 // materialized permutation, a cluster shard or an exchange page:
 // PosSlice[int32] when Narrow(n), PosSlice[int64] otherwise.
 type Positions interface {
-	Read(dst []int64, start int64)    // widen the values at start, start+1, ... into all of dst
-	Vals(yield func(int, int64) bool) // yield every index with its widened value
+	Read(dst []int64, start int64) // widen the values at start, start+1, ... into all of dst
 }
 
 // PosSlice stores positions as T: the store at either width.
@@ -163,14 +162,6 @@ type PosSlice[T int32 | int64] []T
 func (s PosSlice[T]) Read(dst []int64, start int64) {
 	for i, v := range s[start : start+int64(len(dst))] {
 		dst[i] = int64(v)
-	}
-}
-
-func (s PosSlice[T]) Vals(yield func(int, int64) bool) {
-	for i, v := range s {
-		if !yield(i, int64(v)) {
-			return
-		}
 	}
 }
 

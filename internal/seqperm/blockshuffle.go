@@ -2,6 +2,7 @@ package seqperm
 
 import (
 	"randperm/internal/commat"
+	"randperm/internal/core"
 	"randperm/internal/xrand"
 )
 
@@ -58,7 +59,7 @@ func blockShuffle[T any](src xrand.Source, x, scratch []T, fanout, threshold int
 
 	// Virtual block layout: K source chunks and K target buckets, both
 	// as even as possible.
-	sizes := evenSizes(n, fanout)
+	sizes := core.EvenBlocks(int64(n), fanout)
 	a := commat.SampleSeq(src, sizes, sizes)
 
 	// Bucket write cursors inside scratch.
@@ -93,16 +94,4 @@ func blockShuffle[T any](src xrand.Source, x, scratch []T, fanout, threshold int
 		blockShuffle(src, bucket, x[offsets[j]:offsets[j+1]], fanout, threshold)
 	}
 	copy(x, scratch)
-}
-
-func evenSizes(n, k int) []int64 {
-	sizes := make([]int64, k)
-	base, rem := n/k, n%k
-	for i := range sizes {
-		sizes[i] = int64(base)
-		if i < rem {
-			sizes[i]++
-		}
-	}
-	return sizes
 }

@@ -487,27 +487,32 @@ func TestClusterDisconnectMidBody(t *testing.T) {
 }
 
 // BenchmarkServeClusterColdPull times a cold full pull end to end: a
-// 2-node loopback permd cluster, n = 10^6, p = 8, a fresh seed per op,
-// the whole text body read to EOF from node 0. Beside
-// BenchmarkClusterColdPull's work it carries the HTTP request, the
-// text encoding and the write.
+// loopback permd cluster of 2, 4, 8 and 16 nodes, n = 10^6, p =
+// max(8, nodes), a fresh seed per op, the whole text body read to EOF
+// from node 0. Beside BenchmarkClusterColdPull's work it carries the
+// HTTP request, the text encoding and the write; the node sweep shows
+// how the exchange fan-out scales.
 func BenchmarkServeClusterColdPull(b *testing.B) {
 	const n = 1_000_000
-	servers := bootServiceCluster(b, 2, Config{Procs: 8})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		resp, err := http.Get(fmt.Sprintf("%s/v1/perm/%d/chunk?n=%d&len=%d&backend=cluster", servers[0].URL, i+1, n, n))
-		if err != nil {
-			b.Fatal(err)
-		}
-		m, err := io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK || m < 2*n {
-			b.Fatalf("pull %d: status %d, %d bytes, %v", i, resp.StatusCode, m, err)
-		}
+	for _, nodes := range []int{2, 4, 8, 16} {
+		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
+			servers := bootServiceCluster(b, nodes, Config{Procs: max(8, nodes)})
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				resp, err := http.Get(fmt.Sprintf("%s/v1/perm/%d/chunk?n=%d&len=%d&backend=cluster", servers[0].URL, i+1, n, n))
+				if err != nil {
+					b.Fatal(err)
+				}
+				m, err := io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK || m < 2*n {
+					b.Fatalf("pull %d: status %d, %d bytes, %v", i, resp.StatusCode, m, err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/item")
+		})
 	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/item")
 }
 
 // TestClusterStatusCounters pins /v1/cluster/status's counters: after
