@@ -17,13 +17,15 @@
 //	         matrix is a pure function of (seed, n, p), so all nodes
 //	         hold identical copies by construction;
 //	round 2  the h-relation: every source block's indexes are routed
-//	         by its label arrangement (CGM.Labels, engine.RouteIota) —
-//	         into the shard's window (CGM.Window) for blocks of slots
-//	         this node replicates, into a duty-holding peer's exchange
-//	         pages (CGM.Exchange) for the rest — and each received
-//	         payload segment is verified against the locally sampled
-//	         matrix entry it realizes, so a seed or width mismatch is
-//	         detected, not silently mixed;
+//	         by its label arrangement (CGM.LabelsInto, engine.RouteIota)
+//	         once per permutation, by each duty holder of its slot, into
+//	         that node's routed entry for the slot (route.go: exchange
+//	         layout over every target, CGM.Exchange(0, p)); the node's
+//	         own shard builds copy their segments from it, and every
+//	         exchange leg it serves to a peer is encoded from it. Each
+//	         received payload segment is verified against the locally
+//	         sampled matrix entry it realizes, so a seed or width
+//	         mismatch is detected, not silently mixed;
 //	round 3  each target block of the slot is arranged in place from
 //	         its own stream (engine.Arrange on the engine's worker
 //	         pool) — again no network.
@@ -59,6 +61,7 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"randperm/internal/core"
@@ -130,6 +133,11 @@ type Node struct {
 	health *health
 
 	shards *lru.Cache[shardKey, *Shard]
+	// routes holds round 2's routed source slots (route.go), at most
+	// 2 * Replicas: the R source slots of two permutations at once.
+	routes *lru.Cache[shardKey, *routed]
+	// routedBlocks counts the source blocks this node has routed.
+	routedBlocks atomic.Int64
 
 	// met holds the node's metric families, printed on the permd
 	// /metrics page; its counters are also /v1/cluster/status's. The
@@ -173,6 +181,7 @@ func New(cfg Config) (*Node, error) {
 		client: &http.Client{Timeout: 60 * time.Second},
 		health: newHealth(len(cfg.Peers)),
 		shards: lru.New[shardKey, *Shard](cfg.MaxShards, nil),
+		routes: lru.New[shardKey, *routed](2*cfg.Replicas, nil),
 	}
 	nd.declareMetrics()
 	nd.health.onChange = func(k int, from, to peerState) {
@@ -305,7 +314,8 @@ func (nd *Node) Owner(n, idx int64) int {
 	return ownerOfBlock(nd.cfg.Procs, len(nd.cfg.Peers), blockOfIndex(n, nd.cfg.Procs, idx))
 }
 
-// shardKey identifies one shard this node can hold. Procs and the node
+// shardKey identifies one slot of one permutation: a shard this node
+// can hold, or a routed source slot (route.go). Procs and the node
 // layout are fixed per Node, so (slot, n, seed) suffices — and because
 // a slot's bytes are independent of which replica computes them, the
 // key needs no node component.
@@ -361,17 +371,9 @@ func buildShard[T int32 | int64](nd *Node, slot int, n int64, seed uint64) (*Sha
 	win := cgm.Window(blo, bhi)
 	buf := make([]T, win.Len(0)+1)
 	vals := buf[:win.Len(0)]
-
-	// Round 2, local half: every source block belonging to a slot this
-	// node replicates is routed locally — replicas are free, so no wire
-	// traffic is spent on payloads this node can derive itself.
-	began = time.Now()
-	var labels []int32
-	for i := 0; i < p; i++ {
-		if nd.hasDuty(self, ownerOfBlock(p, nodes, i)) {
-			labels = cgm.LabelsInto(labels, i)
-			engine.RouteIota(win, i, labels, buf)
-		}
+	seg := func(i, j int) []T {
+		lo, hi := win.Segment(i, j)
+		return vals[lo:hi]
 	}
 
 	// Round 2, remote half: the h-relation. For every source slot this
@@ -379,12 +381,9 @@ func buildShard[T int32 | int64](nd *Node, slot int, n int64, seed uint64) (*Sha
 	// the target slot from one of that slot's duty holders — primary
 	// first, failing over through the replica set; each received
 	// segment is verified against our own matrix entry before
-	// placement. Slots are fetched concurrently — their target segments
-	// are disjoint by construction.
-	seg := func(i, j int) []T {
-		lo, hi := win.Segment(i, j)
-		return vals[lo:hi]
-	}
+	// placement. Slots are fetched concurrently, while the local half
+	// below runs — their target segments are disjoint by construction.
+	began = time.Now()
 	var wg sync.WaitGroup
 	errs := make([]error, nodes)
 	for s := 0; s < nodes; s++ {
@@ -396,6 +395,33 @@ func buildShard[T int32 | int64](nd *Node, slot int, n int64, seed uint64) (*Sha
 			defer wg.Done()
 			errs[s] = fetchExchangeSlot(nd, s, slot, n, seed, cgm.Matrix(), seg)
 		}(s)
+	}
+
+	// Round 2, local half: every source block belonging to a slot this
+	// node replicates is routed locally — replicas are free, so no wire
+	// traffic is spent on payloads this node can derive itself. A lone
+	// node routes straight into the window; with peers, each replicated
+	// source slot is routed once into its entry (route.go), which this
+	// build and every exchange leg served for it copy from.
+	if nodes == 1 {
+		var labels []int32
+		for i := 0; i < p; i++ {
+			labels = cgm.LabelsInto(labels, i)
+			engine.RouteIota(win, i, labels, buf)
+			nd.routedBlocks.Add(1)
+		}
+	} else {
+		for _, s := range nd.duties(self) {
+			rt := nd.route(s, n, seed, cgm)
+			slo, shi := blockSpan(p, nodes, s)
+			for i := slo; i < shi; i++ {
+				for j := blo; j < bhi; j++ {
+					lo, _ := rt.segment(i, j)
+					readPositions(rt.vals, seg(i, j), lo)
+				}
+			}
+			nd.take(rt, slot)
+		}
 	}
 	wg.Wait()
 	for _, err := range errs {

@@ -8,13 +8,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	"randperm/internal/commat"
-	"randperm/internal/core"
 	"randperm/internal/engine"
 	"randperm/internal/events"
 	"randperm/internal/metrics"
@@ -187,28 +185,27 @@ func (nd *Node) identity(rd *query.Reader) (n int64, seed uint64) {
 	return n, rd.Seed(rd.Required("seed"))
 }
 
-// handleExchange serves round 2 to one requesting peer: the label
-// arrangements of source slot `from`'s blocks are drawn from their
-// streams and the payload segments destined for target slot `to`'s
+// handleExchange serves round 2 to one requesting peer: the payload
+// segments source slot `from`'s blocks route to target slot `to`'s
 // blocks are streamed out, each prefixed with the matrix entry it
 // realizes. The node serves any source slot it replicates — the
-// arrangements are derived from the slot's streams, so every duty
-// holder ships identical bytes — and refuses slots outside its duty,
-// which is what keeps R=1 failures honest: a dead primary's
-// contributions are then not derivable from anyone, and the build
-// errors instead of silently recomputing the whole cluster's work on
-// one box.
+// segments are derived from the slot's streams, so every duty holder
+// ships identical bytes — and refuses slots outside its duty, which is
+// what keeps R=1 failures honest: a dead primary's contributions are
+// then not derivable from anyone, and the build errors instead of
+// silently recomputing the whole cluster's work on one box.
 //
-// The handler is deliberately stateless: the matrix and arrangements
-// are recomputed per request rather than cached per (n, seed), which
-// bounds its memory to one source block's labels, route page and wire
-// page per request, with no second cache to size against the shard
-// LRU. The price is CPU: with N-1 requesters per permutation the O(n/N)
-// arrangement work is redone N-1 times per slot, and that work is a
-// large share of a cold pull: profiles of cold 2-node pulls put 31.6 %
-// of all CPU in the label arrangement, 14.3 points of it under this
-// handler (ROADMAP, "Arrange each source block once"), and 1.50-1.62 s
-// of 6.8-7.2 s CPU over 150 served pulls (BENCHMARKS.md).
+// The handler is not stateless: the segments come from the node's
+// routed entry for (from, n, seed) (route.go), shared with the node's
+// own shard builds and every other leg of the slot, so the slot's
+// labels are drawn and routed once per permutation, not once per
+// requester. The entry is routed by whichever of those asks first;
+// a leg written in full marks its target slot taken, and the entry
+// leaves the cache when every target slot has taken its segments, or
+// ages out of the 2R-entry LRU. A leg that fails mid-write takes
+// nothing, so a retry finds the entry still there (or routes it
+// again, with the same bytes). Per request the handler holds one
+// 32 KiB wire page beside the shared entry.
 func (nd *Node) handleExchange(w http.ResponseWriter, r *http.Request) {
 	nd.exchangeReqs.Add(1)
 	q := r.URL.Query()
@@ -239,45 +236,66 @@ func (nd *Node) handleExchange(w http.ResponseWriter, r *http.Request) {
 	}
 
 	leg := exchangeLeg{seed: seed, n: n, p: nd.cfg.Procs, nodes: nodes, from: int(from), to: int(to)}
+	rt := nd.route(leg.from, n, seed, nil)
 	w.Header().Set("Content-Type", "application/octet-stream")
-	nd.exchangeItems.Add(engine.ByWidth(n, writeExchange[int32], writeExchange[int64])(w, leg))
+	if shipped := engine.ByWidth(n, writeExchange[int32], writeExchange[int64])(w, leg, rt); shipped >= 0 {
+		nd.exchangeItems.Add(shipped)
+		nd.take(rt, leg.to)
+	}
 }
 
-// writeExchange writes leg's response body to w and returns the values
-// it shipped, or 0 once a write fails. Each source block of the served
-// slot is routed into a reused page of T in exchange layout — its
-// segments for the target slot back to back, in target order — and
-// then encoded as on the wire: i, then per target its count and
-// payload.
-func writeExchange[T int32 | int64](w io.Writer, leg exchangeLeg) (shipped int64) {
-	sizes := core.EvenBlocks(leg.n, leg.p)
-	cgm := engine.NewCGM(leg.seed, sizes, sizes)
+// exchangePage is the size of the page writeExchange encodes into and
+// writes whole: 4096 little-endian int64s.
+const exchangePage = 1 << 15
+
+// writeExchange writes leg's response body to w from rt, the routed
+// entry of leg's source slot stored as T, and returns the values it
+// shipped, or -1 once a write fails. Each source block of the slot is
+// encoded as on the wire — i, then per target block of leg's target
+// slot its count and payload — into one page, written whenever it
+// fills.
+func writeExchange[T int32 | int64](w io.Writer, leg exchangeLeg, rt *routed) (shipped int64) {
+	vals := rt.vals.(engine.PosSlice[T])
 	sLo, sHi := blockSpan(leg.p, leg.nodes, leg.from) // the served source slot's blocks
 	tLo, tHi := blockSpan(leg.p, leg.nodes, leg.to)   // the requested target slot's blocks
-	ex := cgm.Exchange(tLo, tHi)
-	wire := leg.appendHeader(make([]byte, 0, 1<<15))
-	if _, err := w.Write(wire); err != nil {
-		return 0
+	wire := leg.appendHeader(make([]byte, 0, exchangePage))
+	// room makes space for at least one more word, writing the page out
+	// when it is full, and reports whether the write went through.
+	room := func() bool {
+		if len(wire)+8 <= cap(wire) {
+			return true
+		}
+		_, err := w.Write(wire)
+		wire = wire[:0]
+		return err == nil
 	}
-	var page []T
-	var labels []int32
 	for i := sLo; i < sHi; i++ {
-		m := ex.Len(i)
-		page = slices.Grow(page[:0], int(m)+1)[:m+1]
-		labels = cgm.LabelsInto(labels, i)
-		engine.RouteIota(ex, i, labels, page)
-		wire = binary.LittleEndian.AppendUint32(slices.Grow(wire[:0], 4+8*(tHi-tLo)+8*int(m)), uint32(int32(i)))
+		if !room() {
+			return -1
+		}
+		wire = binary.LittleEndian.AppendUint32(wire, uint32(int32(i)))
 		for j := tLo; j < tHi; j++ {
-			lo, hi := ex.Segment(i, j)
-			wire = binary.LittleEndian.AppendUint64(wire, uint64(hi-lo))
-			for _, v := range page[lo:hi] {
-				wire = binary.LittleEndian.AppendUint64(wire, uint64(v))
+			lo, hi := rt.segment(i, j)
+			seg := vals[lo:hi]
+			if !room() {
+				return -1
+			}
+			wire = binary.LittleEndian.AppendUint64(wire, uint64(len(seg)))
+			for len(seg) > 0 {
+				if !room() {
+					return -1
+				}
+				m := min(len(seg), (cap(wire)-len(wire))/8)
+				for _, v := range seg[:m] {
+					wire = binary.LittleEndian.AppendUint64(wire, uint64(v))
+				}
+				seg = seg[m:]
+				shipped += int64(m)
 			}
 		}
-		if _, err := w.Write(wire); err != nil {
-			return 0
-		}
-		shipped += m
+	}
+	if _, err := w.Write(wire); err != nil {
+		return -1
 	}
 	return shipped
 }
@@ -507,10 +525,12 @@ const chunkPage = 1 << 15
 
 // fetchChunk pulls values [start, start+len(dst)) of slot's shard from
 // peer k into dst, decoding the body page by page; a body that ends
-// early or runs past the last value is refused. ctx is the hedging
-// seam: a losing racer is cancelled here, and the cancellation is not
-// held against k's health. On an error dst may hold part of the span.
-func (nd *Node) fetchChunk(ctx context.Context, k int, n int64, seed uint64, dst []int64, start int64) error {
+// early or runs past the last value is refused. The wire carries
+// int64s; a []int32 dst is only asked for values of a narrow n, which
+// fit. ctx is the hedging seam: a losing racer is cancelled here, and
+// the cancellation is not held against k's health. On an error dst may
+// hold part of the span.
+func fetchChunk[T int32 | int64](ctx context.Context, nd *Node, k int, n int64, seed uint64, dst []T, start int64) error {
 	u := fmt.Sprintf("%s/v1/cluster/chunk?n=%d&seed=%d&start=%d&len=%d",
 		nd.cfg.Peers[k], n, seed, start, len(dst))
 	resp, err := nd.peerGet(ctx, k, u)
@@ -529,7 +549,7 @@ func (nd *Node) fetchChunk(ctx context.Context, k int, n int64, seed uint64, dst
 			return nd.peerError(k, RoundServe, "chunk", fmt.Errorf("short read: %w", err))
 		}
 		for t := range rest[:m] {
-			rest[t] = int64(binary.LittleEndian.Uint64(page[8*t:]))
+			rest[t] = T(binary.LittleEndian.Uint64(page[8*t:]))
 		}
 		rest = rest[m:]
 	}
@@ -562,14 +582,14 @@ func (nd *Node) fetchChunk(ctx context.Context, k int, n int64, seed uint64, dst
 // identical values, which is why hedging is safe at all. Canceling ctx
 // — the reading client is gone — stops every racer. Either way, no
 // racer outlives the call; on an error dst may hold part of the span.
-func (nd *Node) readRemoteSpan(ctx context.Context, slot int, n int64, seed uint64, dst []int64, start int64) error {
+func readRemoteSpan[T int32 | int64](ctx context.Context, nd *Node, slot int, n int64, seed uint64, dst []T, start int64) error {
 	cands := nd.health.rank(nd.replicasOf(slot))
 	ctx, cancel := context.WithCancel(ctx)
 
 	type result struct {
 		cand   int
 		hedged bool
-		buf    []int64 // nil when the racer decoded into dst
+		buf    []T // nil when the racer decoded into dst
 		err    error
 	}
 	ch := make(chan result, len(cands))
@@ -584,9 +604,9 @@ func (nd *Node) readRemoteSpan(ctx context.Context, slot int, n int64, seed uint
 	launch := func(hedged bool) {
 		k := cands[launched]
 		launched++
-		var buf []int64
+		var buf []T
 		if pending > 0 {
-			buf = make([]int64, len(dst))
+			buf = make([]T, len(dst))
 		}
 		pending++
 		go func() {
@@ -594,7 +614,7 @@ func (nd *Node) readRemoteSpan(ctx context.Context, slot int, n int64, seed uint
 			if into == nil {
 				into = dst
 			}
-			err := nd.fetchChunk(ctx, k, n, seed, into, start)
+			err := fetchChunk(ctx, nd, k, n, seed, into, start)
 			ch <- result{cand: k, hedged: hedged, buf: buf, err: err}
 		}()
 	}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"sync"
+
+	"randperm/internal/engine"
 )
 
 // Permuter is a handle on the cluster permutation of (seed, n): the
@@ -58,10 +60,11 @@ func (p *Permuter) Chunk(dst []int64, start int64) (int, error) {
 // local build overlaps the peers' builds of theirs without the remote
 // reads waiting on it. Every Read must end in exactly one Finish or
 // Abandon; both return only after every goroutine the Read started
-// has returned.
-type Read struct {
+// has returned. A Read fills a []T: int32 serves any n for which
+// engine.Narrow(n) holds at 4 bytes a value, int64 any n.
+type Read[T int32 | int64] struct {
 	p      *Permuter
-	dst    []int64
+	dst    []T
 	start  int64
 	spans  []int64 // span boundaries: span s is [spans[s], spans[s+1])
 	errs   []error // per span; valid once wg is done
@@ -70,12 +73,18 @@ type Read struct {
 	cancel context.CancelFunc
 }
 
-// StartRead begins reading π(start) .. π(start+len(dst)-1), clamped to
-// the domain end, into dst: each remote span is fetched now, in its own
-// goroutine under ctx, so canceling ctx (or calling Abandon) stops the
-// peer reads. Local spans are left for Finish.
-func (p *Permuter) StartRead(ctx context.Context, dst []int64, start int64) *Read {
-	rd := &Read{p: p, start: start}
+// StartRead is the package's StartRead into a []int64, which any n
+// fits.
+func (p *Permuter) StartRead(ctx context.Context, dst []int64, start int64) *Read[int64] {
+	return StartRead(ctx, p, dst, start)
+}
+
+// StartRead begins reading π(start) .. π(start+len(dst)-1) of p, clamped
+// to the domain end, into dst: each remote span is fetched now, in its
+// own goroutine under ctx, so canceling ctx (or calling Abandon) stops
+// the peer reads. Local spans are left for Finish.
+func StartRead[T int32 | int64](ctx context.Context, p *Permuter, dst []T, start int64) *Read[T] {
+	rd := &Read[T]{p: p, start: start}
 	ctx, rd.cancel = context.WithCancel(ctx)
 	if start < 0 || start > p.n {
 		rd.err = fmt.Errorf("cluster: Chunk start %d outside [0, %d]", start, p.n)
@@ -95,7 +104,7 @@ func (p *Permuter) StartRead(ctx context.Context, dst []int64, start int64) *Rea
 			rd.wg.Add(1)
 			go func() {
 				defer rd.wg.Done()
-				rd.errs[s] = p.nd.readRemoteSpan(ctx, k, p.n, p.seed, span, lo)
+				rd.errs[s] = readRemoteSpan(ctx, p.nd, k, p.n, p.seed, span, lo)
 			}()
 		}
 	}
@@ -104,20 +113,20 @@ func (p *Permuter) StartRead(ctx context.Context, dst []int64, start int64) *Rea
 
 // span returns span s's shard slot, its window of dst and its first
 // index.
-func (rd *Read) span(s int) (slot int, span []int64, lo int64) {
+func (rd *Read[T]) span(s int) (slot int, span []T, lo int64) {
 	lo = rd.spans[s]
 	return rd.p.nd.Owner(rd.p.n, lo), rd.dst[lo-rd.start : rd.spans[s+1]-rd.start], lo
 }
 
 // local reports whether this node replicates slot, so its span is read
 // from a local shard.
-func (rd *Read) local(slot int) bool { return rd.p.nd.hasDuty(rd.p.nd.cfg.Self, slot) }
+func (rd *Read[T]) local(slot int) bool { return rd.p.nd.hasDuty(rd.p.nd.cfg.Self, slot) }
 
 // Finish reads the local spans — concurrently when there are several,
 // each building its shard if it is not resident — waits for the remote
 // spans, and returns how many values were written. The error follows
 // Chunk's rule: that of the lowest-numbered failed slot.
-func (rd *Read) Finish() (int, error) {
+func (rd *Read[T]) Finish() (int, error) {
 	defer rd.cancel()
 	if rd.err != nil {
 		return 0, rd.err
@@ -135,7 +144,7 @@ func (rd *Read) Finish() (int, error) {
 			rd.errs[s] = err
 			return
 		}
-		sh.Read(span, lo-sh.Start)
+		readPositions(sh.Positions, span, lo-sh.Start)
 	}
 	for i, s := range local {
 		if i == len(local)-1 {
@@ -160,7 +169,7 @@ func (rd *Read) Finish() (int, error) {
 // Abandon stops a Read that will not be finished: it cancels the
 // remote spans and waits for their goroutines. The local spans are
 // never read, so no local shard is built on its behalf.
-func (rd *Read) Abandon() {
+func (rd *Read[T]) Abandon() {
 	rd.cancel()
 	rd.wg.Wait()
 }
@@ -197,4 +206,14 @@ func (p *Permuter) Materialized() bool {
 		}
 	}
 	return true
+}
+
+// readPositions copies src's values at, at+1, ... into all of dst. A
+// []T of the store's width copies; an int64 dst widens a 4-byte store.
+func readPositions[T int32 | int64](src engine.Positions, dst []T, at int64) {
+	if wide, ok := any(dst).([]int64); ok {
+		src.Read(wide, at)
+		return
+	}
+	copy(dst, src.(engine.PosSlice[T])[at:])
 }

@@ -48,7 +48,7 @@ func TestShardWidthsAgree(t *testing.T) {
 				for to := range nodes {
 					leg := exchangeLeg{seed: seed, n: n, p: p, nodes: nodes, from: k, to: to}
 					var narrow, wide bytes.Buffer
-					shipped32, shipped64 := writeExchange[int32](&narrow, leg), writeExchange[int64](&wide, leg)
+					shipped32, shipped64 := writeExchange[int32](&narrow, leg, routeSlot[int32](nd, k, n, seed, nil)), writeExchange[int64](&wide, leg, routeSlot[int64](nd, k, n, seed, nil))
 					if shipped32 != shipped64 || !bytes.Equal(narrow.Bytes(), wide.Bytes()) {
 						t.Fatalf("N=%d n=%d leg %d -> %d: int32 pages shipped %d values in %d bytes, int64 pages %d in %d, or the bytes differ",
 							nodes, n, k, to, shipped32, narrow.Len(), shipped64, wide.Len())

@@ -150,7 +150,8 @@ func Iota[T int32 | int64](n int) []T {
 }
 
 // Positions is the one store of built permutation values — a
-// materialized permutation, a cluster shard or an exchange page:
+// materialized permutation, a cluster shard or a cluster node's routed
+// source slot:
 // PosSlice[int32] when Narrow(n), PosSlice[int64] otherwise.
 type Positions interface {
 	Read(dst []int64, start int64) // widen the values at start, start+1, ... into all of dst

@@ -9,7 +9,10 @@
 //     recently used entry, and eviction only forgets it — a caller
 //     already holding the entry still gets its value;
 //   - failures are not cached: a failed build drops its entry, so the
-//     next Get builds again instead of replaying a stale error.
+//     next Get builds again instead of replaying a stale error;
+//   - Remove drops an entry on the owner's word, with the same rule as
+//     eviction: a caller already holding the value keeps it, and the
+//     next Get builds again.
 package lru
 
 import (
@@ -96,6 +99,18 @@ func (c *Cache[K, V]) Get(key K, build func() (V, error)) (v V, hit bool, err er
 		return v, hit, e.err
 	}
 	return e.val, hit, nil
+}
+
+// Remove drops key's entry, if resident, whether built or still
+// building; onEvict is not told. Callers already sharing the entry's
+// build still get its value, and the next Get builds a new entry.
+func (c *Cache[K, V]) Remove(key K) {
+	c.mu.Lock()
+	if el, ok := c.entries[key]; ok {
+		c.order.Remove(el)
+		delete(c.entries, key)
+	}
+	c.mu.Unlock()
 }
 
 // Peek returns key's value if it is resident and built, without

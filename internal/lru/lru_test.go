@@ -186,3 +186,77 @@ func TestAllSkipsUnbuilt(t *testing.T) {
 		t.Errorf("Len = %d, want 3", c.Len())
 	}
 }
+
+// TestRemove: removing a resident entry forgets it without telling
+// onEvict, and the next Get builds again; removing an absent key is a
+// no-op that leaves the other entries and their order alone.
+func TestRemove(t *testing.T) {
+	var evicted []string
+	c := New[string, int](4, func(k string) { evicted = append(evicted, k) })
+	c.Get("a", value(1))
+	c.Get("b", value(2))
+	c.Remove("a")
+	if _, ok := c.Peek("a"); ok || c.Len() != 1 {
+		t.Fatalf("after Remove(a): Peek found it or Len = %d, want 1", c.Len())
+	}
+	c.Remove("a")
+	c.Remove("never")
+	if got, want := keys(c), []string{"b"}; !slices.Equal(got, want) {
+		t.Errorf("All after removing absent keys = %v, want %v", got, want)
+	}
+	if len(evicted) != 0 {
+		t.Errorf("onEvict told of %v, want nothing", evicted)
+	}
+	v, hit, err := c.Get("a", value(3))
+	if err != nil || v != 3 || hit {
+		t.Errorf("Get after Remove = %d, hit %v, %v; want a fresh build of 3, miss, nil", v, hit, err)
+	}
+}
+
+// TestRemoveDuringBuild: removing an entry whose build is in flight
+// leaves that build to the callers sharing it — they get its value —
+// while the next Get runs a build of its own; the orphaned build, when
+// it finishes, does not displace the new entry.
+func TestRemoveDuringBuild(t *testing.T) {
+	c := New[string, int](4, nil)
+	started, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	var first int
+	go func() {
+		defer close(done)
+		first, _, _ = c.Get("k", func() (int, error) {
+			close(started)
+			<-release
+			return 1, nil
+		})
+	}()
+	<-started
+	c.Remove("k")
+	if c.Len() != 0 {
+		t.Errorf("Len after removing a building entry = %d, want 0", c.Len())
+	}
+	v, hit, err := c.Get("k", value(2))
+	if err != nil || v != 2 || hit {
+		t.Errorf("Get after Remove = %d, hit %v, %v; want a fresh build of 2, miss, nil", v, hit, err)
+	}
+	close(release)
+	<-done
+	if first != 1 {
+		t.Errorf("the in-flight build's caller got %d, want 1", first)
+	}
+	if v, ok := c.Peek("k"); !ok || v != 2 || c.Len() != 1 {
+		t.Errorf("Peek(k) = %d, %v with Len %d; want the rebuilt 2, true, 1", v, ok, c.Len())
+	}
+}
+
+// TestRemoveHeldValue: a caller holding a value keeps it across a
+// Remove, and the rebuilt entry is a new value, not the old one.
+func TestRemoveHeldValue(t *testing.T) {
+	c := New[string, *int](4, nil)
+	one, two := 1, 2
+	held, _, _ := c.Get("k", func() (*int, error) { return &one, nil })
+	c.Remove("k")
+	rebuilt, hit, _ := c.Get("k", func() (*int, error) { return &two, nil })
+	if hit || held != &one || *held != 1 || rebuilt != &two {
+		t.Errorf("held %v (%d), rebuilt %v, hit %v; want the old value kept and a new one built", held, *held, rebuilt, hit)
+	}
+}

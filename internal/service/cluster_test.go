@@ -574,3 +574,40 @@ func TestClusterStatusCounters(t *testing.T) {
 		t.Errorf("node 1 served %d chunk requests for one cold pull, want 1", got)
 	}
 }
+
+// TestClusterRangeBytes bounds what a served 2-node range allocates
+// once both shards are resident: the range is buffered whole for
+// atomicity, at 4 bytes a value for a narrow n, and everything else —
+// the proxy hop's pages, the text pages, the HTTP plumbing on both
+// ends — is fixed slack. A buffer of 8 bytes a value breaks the bound.
+// Heap statistics are process-wide and cover both in-process nodes, so
+// the least of three warm pulls counts.
+func TestClusterRangeBytes(t *testing.T) {
+	const n = 1_000_000
+	servers := bootServiceCluster(t, 2, Config{Procs: 8})
+	url := fmt.Sprintf("%s/v1/perm/7/chunk?n=%d&len=%d&backend=cluster", servers[0].URL, n, n)
+	pull := func() {
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || m < 2*n {
+			t.Fatalf("status %d, %d bytes, %v", resp.StatusCode, m, err)
+		}
+	}
+	pull() // builds and caches both shards
+	allocated := ^uint64(0)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		pull()
+		runtime.ReadMemStats(&after)
+		allocated = min(allocated, after.TotalAlloc-before.TotalAlloc)
+	}
+	if limit := uint64(4*n + 1<<20); allocated > limit {
+		t.Errorf("warm 2-node range of %d values allocated %d bytes, bound %d", n, allocated, limit)
+	}
+	t.Logf("warm 2-node range of n=%d: %d bytes (%.2f B/value)", n, allocated, float64(allocated)/n)
+}

@@ -62,6 +62,7 @@ import (
 
 	"randperm"
 	"randperm/internal/cluster"
+	"randperm/internal/engine"
 	"randperm/internal/events"
 	"randperm/internal/lru"
 	"randperm/internal/query"
@@ -524,7 +525,7 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if key.backend == randperm.BackendCluster && s.node != nil {
-		s.serveClusterRange(w, r, e, start, length)
+		engine.ByWidth(key.n, serveClusterRange[int32], serveClusterRange[int64])(s, w, r, e, start, length)
 		return
 	}
 	if !s.admitBuild(w, r, e, nil) {
@@ -546,16 +547,18 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 // has no peer read in flight; one that is refused, fails or loses its
 // client cancels its peer reads and waits for them before returning.
 // The read range is then formatted on this request's share of the
-// cores and written in order (writeLinesOrdered).
-func (s *Server) serveClusterRange(w http.ResponseWriter, r *http.Request, e *handleEntry, start, length int64) {
+// cores and written in order (writeLinesOrdered). The buffer holds T,
+// int32 whenever engine.Narrow(n): 4 bytes per requested value, 8 only
+// above 2^31-1.
+func serveClusterRange[T int32 | int64](s *Server, w http.ResponseWriter, r *http.Request, e *handleEntry, start, length int64) {
 	s.clusterRanges.Add(1)
 	defer s.clusterRanges.Add(-1)
-	var buf []int64
-	var rd *cluster.Read
+	var buf []T
+	var rd *cluster.Read[T]
 	startRead := func() {
 		if rd == nil {
-			buf = make([]int64, length)
-			rd = s.node.Permuter(e.key.n, e.key.seed).StartRead(r.Context(), buf, start)
+			buf = make([]T, length)
+			rd = cluster.StartRead(r.Context(), s.node.Permuter(e.key.n, e.key.seed), buf, start)
 		}
 	}
 	if !s.admitBuild(w, r, e, startRead) {
@@ -609,7 +612,7 @@ const tailWorkers = 4
 // 2W-1 pages, each sized to a piece of n's lines, whatever len(vals).
 // A write error or a canceled ctx stops the formatting, and no helper
 // outlives the call.
-func writeLinesOrdered(ctx context.Context, w io.Writer, vals []int64, n int64, procs int) error {
+func writeLinesOrdered[T int32 | int64](ctx context.Context, w io.Writer, vals []T, n int64, procs int) error {
 	pieces := (len(vals) + tailPiece - 1) / tailPiece
 	workers := max(min(procs, tailWorkers, pieces), 1)
 	// appendLines takes a whole piece of lines of at most line bytes
@@ -775,12 +778,12 @@ func (d *decimalWriter) write(vals []int64) error {
 // only the store offset chains from one line to the next. A pair with
 // a value outside [0, 1e16), an odd tail and a page too full for two
 // lines go through appendDecimalLine.
-func appendLines(page []byte, vals []int64) ([]byte, int) {
+func appendLines[T int32 | int64](page []byte, vals []T) ([]byte, int) {
 	i := 0
 	for room := cap(page) - 2*maxDecimalLine; i+1 < len(vals) && len(page) <= room; i += 2 {
 		a, b := uint64(vals[i]), uint64(vals[i+1])
 		if a >= 1e16 || b >= 1e16 { // negatives included
-			page = appendDecimalLine(appendDecimalLine(page, vals[i]), vals[i+1])
+			page = appendDecimalLine(appendDecimalLine(page, int64(vals[i])), int64(vals[i+1]))
 			continue
 		}
 		leadA, tailA, nA := decimalGroups(a)
@@ -796,7 +799,7 @@ func appendLines(page []byte, vals []int64) ([]byte, int) {
 		page = page[:l+nA+nB]
 	}
 	for room := cap(page) - maxDecimalLine; i < len(vals) && len(page) <= room; i++ {
-		page = appendDecimalLine(page, vals[i])
+		page = appendDecimalLine(page, int64(vals[i]))
 	}
 	return page, i
 }
