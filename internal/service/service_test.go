@@ -417,7 +417,7 @@ func (f *flakyWriter) Write(p []byte) (int, error) {
 // pieces and not a multiple of one, on one goroutine, on four, with
 // more procs than tailWorkers and with none; pages sized for the values' bound n
 // and pages sized for a bound the values overrun (n = 10, and negative
-// values for n = MaxInt64) give the same bytes. It stops at the first
+// values for n = MaxInt64) give the same bytes, at either width. It stops at the first
 // failed write or at a canceled context, and no helper outlives the
 // call either way.
 func TestWriteLinesOrdered(t *testing.T) {
@@ -442,6 +442,24 @@ func TestWriteLinesOrdered(t *testing.T) {
 				if got.String() != want.String() {
 					t.Errorf("procs %d, %d values, n %d: output differs from decimalWriter's", procs, m, n)
 				}
+			}
+			// The 4-byte form a cluster range buffers writes what its
+			// widened values do, negatives included.
+			narrow, widened := make([]int32, m), make([]int64, m)
+			for i, v := range vals[:m] {
+				narrow[i] = int32(v)
+				widened[i] = int64(narrow[i])
+			}
+			var want32, got32 strings.Builder
+			dw = newDecimalWriter(&want32, make([]byte, 0, 1<<15))
+			if dw.write(widened) != nil || dw.flush() != nil {
+				t.Fatal("write to a strings.Builder failed")
+			}
+			if err := writeLinesOrdered(context.Background(), &got32, narrow, math.MaxInt32, procs); err != nil {
+				t.Fatal(err)
+			}
+			if got32.String() != want32.String() {
+				t.Errorf("procs %d, %d int32 values: output differs from decimalWriter's", procs, m)
 			}
 		}
 		fw := &flakyWriter{ok: 2}
