@@ -255,6 +255,47 @@ func TestDrillCorruptExchange(t *testing.T) {
 	}
 }
 
+// TestDrillCorruptChunk: a proxy hop whose body carries a value outside
+// [0, n) must never be served. Offset 7 is the top byte of the first
+// value, which turns it negative. With R=1 the read errors with a
+// *PeerError naming the corrupting node; with R=2 it fails over to the
+// clean replica — byte-identical output, one failover counted.
+func TestDrillCorruptChunk(t *testing.T) {
+	const n, procs, seed = 300, 4, 5
+	corrupt := chaos.Rule{Path: "chunk", From: chaos.AnyPeer, Fault: chaos.Corrupt, FlipAt: 7}
+
+	nds1, proxies1 := bootChaosCluster(t, 2, procs, 1, nil)
+	proxies1[1].Set(corrupt)
+	_, err := readAll(nds1[0], n, seed)
+	var pe *PeerError
+	if !errors.As(err, &pe) {
+		t.Fatalf("R=1 read of a corrupted proxy hop: no *PeerError in %v", err)
+	}
+	if pe.Node != 1 || pe.Round != RoundServe || pe.Op != "chunk" {
+		t.Errorf("PeerError = node %d round %d op %s, want node 1 round %d op chunk", pe.Node, pe.Round, pe.Op, RoundServe)
+	}
+
+	// Node 0 replicates slots 0 and 2; slot 1's replicas are nodes 1
+	// (primary) and 2.
+	nds, proxies := bootChaosCluster(t, 3, procs, 2, func(c *Config) {
+		c.HedgeAfter = -1 // failover only: keeps the counter deterministic
+	})
+	proxies[1].Set(corrupt)
+	got, err := readAll(nds[0], n, seed)
+	if err != nil {
+		t.Fatalf("R=2 read with a corrupting replica: %v", err)
+	}
+	want := singleNodeCGM(t, n, procs, seed)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("corrupted proxy hop leaked into the output at %d: %d, want %d", i, got[i], want[i])
+		}
+	}
+	if f := nds[0].failovers.Load(); f != 1 {
+		t.Errorf("%d failovers counted, want 1", f)
+	}
+}
+
 // TestDrillHedgeBeatsStall: a stalled (not dead) replica is the case
 // hedged reads exist for — the read must complete fast via the second
 // replica, the hedge must be counted, and the straggler must be

@@ -204,8 +204,10 @@ func (nd *Node) identity(rd *query.Reader) (n int64, seed uint64) {
 // leaves the cache when every target slot has taken its segments, or
 // ages out of the 2R-entry LRU. A leg that fails mid-write takes
 // nothing, so a retry finds the entry still there (or routes it
-// again, with the same bytes). Per request the handler holds one
-// 32 KiB wire page beside the shared entry.
+// again, with the same bytes). Per request the handler holds one wire
+// page of min(wirePage, leg bytes) beside the shared entry, and it
+// declares the body's exact length up front, so the leg goes out in
+// ⌈bytes/wirePage⌉ writes with no chunked framing.
 func (nd *Node) handleExchange(w http.ResponseWriter, r *http.Request) {
 	nd.exchangeReqs.Add(1)
 	q := r.URL.Query()
@@ -238,66 +240,128 @@ func (nd *Node) handleExchange(w http.ResponseWriter, r *http.Request) {
 	leg := exchangeLeg{seed: seed, n: n, p: nd.cfg.Procs, nodes: nodes, from: int(from), to: int(to)}
 	rt := nd.route(leg.from, n, seed, nil)
 	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.FormatInt(leg.bodyLen(rt), 10))
 	if shipped := engine.ByWidth(n, writeExchange[int32], writeExchange[int64])(w, leg, rt); shipped >= 0 {
 		nd.exchangeItems.Add(shipped)
 		nd.take(rt, leg.to)
 	}
 }
 
-// exchangePage is the size of the page writeExchange encodes into and
-// writes whole: 4096 little-endian int64s.
-const exchangePage = 1 << 15
+// wirePage is the largest page either peer hop, an exchange leg or a
+// proxy hop, codes through: 32768 little-endian int64s. Each body is
+// paged in min(wirePage, its exact length) bytes, so a small body's
+// page holds no more than the body, and a body of b bytes is written
+// in ⌈b/wirePage⌉ writes.
+const wirePage = 1 << 18
+
+// pageWriter writes a body of known length to w page by page: a page
+// is written out as soon as it is full, the last one by close. Every
+// page but the last is full, even where a word straddles two pages.
+type pageWriter struct {
+	w    io.Writer
+	page []byte // the page being filled, up to its cap
+	err  error  // the first failed write; later pages are dropped
+}
+
+func newPageWriter(w io.Writer, length int64) *pageWriter {
+	return &pageWriter{w: w, page: make([]byte, 0, min(wirePage, length))}
+}
+
+// flushFull writes the page out if it has no room left.
+func (pw *pageWriter) flushFull() {
+	if len(pw.page) == cap(pw.page) {
+		if pw.err == nil {
+			_, pw.err = pw.w.Write(pw.page)
+		}
+		pw.page = pw.page[:0]
+	}
+}
+
+// put appends b, across pages if it must.
+func (pw *pageWriter) put(b []byte) {
+	for len(b) > 0 && pw.err == nil {
+		k := copy(pw.page[len(pw.page):cap(pw.page)], b)
+		pw.page, b = pw.page[:len(pw.page)+k], b[k:]
+		pw.flushFull()
+	}
+}
+
+// putWord appends v as a little-endian uint64.
+func (pw *pageWriter) putWord(v uint64) {
+	var b [8]byte
+	pw.put(binary.LittleEndian.AppendUint64(b[:0], v))
+}
+
+// putVals appends seg as little-endian int64s, encoding whole runs
+// straight into the page.
+func putVals[T int32 | int64](pw *pageWriter, seg []T) {
+	for len(seg) > 0 && pw.err == nil {
+		m := min(len(seg), (cap(pw.page)-len(pw.page))/8)
+		if m == 0 { // under 8 bytes left: this word straddles two pages
+			pw.putWord(uint64(seg[0]))
+			seg = seg[1:]
+			continue
+		}
+		page := pw.page
+		for _, v := range seg[:m] {
+			page = binary.LittleEndian.AppendUint64(page, uint64(v))
+		}
+		pw.page, seg = page, seg[m:]
+		pw.flushFull()
+	}
+}
+
+// close writes the last, partly filled page, if any, and returns the
+// first failed write.
+func (pw *pageWriter) close() error {
+	if len(pw.page) > 0 && pw.err == nil {
+		_, pw.err = pw.w.Write(pw.page)
+	}
+	return pw.err
+}
 
 // writeExchange writes leg's response body to w from rt, the routed
 // entry of leg's source slot stored as T, and returns the values it
 // shipped, or -1 once a write fails. Each source block of the slot is
 // encoded as on the wire — i, then per target block of leg's target
-// slot its count and payload — into one page, written whenever it
-// fills.
+// slot its count and payload — through one page sized to the body.
 func writeExchange[T int32 | int64](w io.Writer, leg exchangeLeg, rt *routed) (shipped int64) {
 	vals := rt.vals.(engine.PosSlice[T])
 	sLo, sHi := blockSpan(leg.p, leg.nodes, leg.from) // the served source slot's blocks
 	tLo, tHi := blockSpan(leg.p, leg.nodes, leg.to)   // the requested target slot's blocks
-	wire := leg.appendHeader(make([]byte, 0, exchangePage))
-	// room makes space for at least one more word, writing the page out
-	// when it is full, and reports whether the write went through.
-	room := func() bool {
-		if len(wire)+8 <= cap(wire) {
-			return true
-		}
-		_, err := w.Write(wire)
-		wire = wire[:0]
-		return err == nil
-	}
-	for i := sLo; i < sHi; i++ {
-		if !room() {
-			return -1
-		}
-		wire = binary.LittleEndian.AppendUint32(wire, uint32(int32(i)))
+	pw := newPageWriter(w, leg.bodyLen(rt))
+	var buf [exchangeHeaderLen]byte
+	pw.put(leg.appendHeader(buf[:0]))
+	for i := sLo; i < sHi && pw.err == nil; i++ {
+		pw.put(binary.LittleEndian.AppendUint32(buf[:0], uint32(int32(i))))
 		for j := tLo; j < tHi; j++ {
 			lo, hi := rt.segment(i, j)
-			seg := vals[lo:hi]
-			if !room() {
-				return -1
-			}
-			wire = binary.LittleEndian.AppendUint64(wire, uint64(len(seg)))
-			for len(seg) > 0 {
-				if !room() {
-					return -1
-				}
-				m := min(len(seg), (cap(wire)-len(wire))/8)
-				for _, v := range seg[:m] {
-					wire = binary.LittleEndian.AppendUint64(wire, uint64(v))
-				}
-				seg = seg[m:]
-				shipped += int64(m)
-			}
+			pw.putWord(uint64(hi - lo))
+			putVals(pw, vals[lo:hi])
+			shipped += hi - lo
 		}
 	}
-	if _, err := w.Write(wire); err != nil {
+	if pw.close() != nil {
 		return -1
 	}
 	return shipped
+}
+
+// bodyLen is the exact length of leg's body from rt: the header, then
+// per source block its index and, per target block, a count and 8
+// bytes a value.
+func (l exchangeLeg) bodyLen(rt *routed) int64 {
+	sLo, sHi := blockSpan(l.p, l.nodes, l.from)
+	tLo, tHi := blockSpan(l.p, l.nodes, l.to)
+	size := int64(exchangeHeaderLen)
+	for i := sLo; i < sHi; i++ {
+		size += 4
+		for j := tLo; j < tHi; j++ {
+			lo, hi := rt.segment(i, j)
+			size += 8 + 8*(hi-lo)
+		}
+	}
+	return size
 }
 
 // exchangeLeg is the identity of one round-2 response, echoed in its
@@ -503,32 +567,29 @@ func (nd *Node) handleChunk(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	vals := make([]int64, min(chunkPage/8, length))
-	page := make([]byte, 8*len(vals))
-	for at, end := start, start+length; at < end; {
-		m := min(int64(len(vals)), end-at)
-		sh.Read(vals[:m], at-sh.Start)
-		for t, v := range vals[:m] {
-			binary.LittleEndian.PutUint64(page[8*t:], uint64(v))
-		}
-		if _, err := w.Write(page[:8*m]); err != nil {
-			return
-		}
-		at += m
+	w.Header().Set("Content-Length", strconv.FormatInt(8*length, 10))
+	if engine.ByWidth(n, writeChunk[int32], writeChunk[int64])(w, sh, start, length) == nil {
+		nd.chunkItems.Add(length)
 	}
-	nd.chunkItems.Add(length)
 }
 
-// chunkPage is the byte page both ends of /v1/cluster/chunk code
-// through: 4096 little-endian int64s.
-const chunkPage = 1 << 15
+// writeChunk writes values [start, start+length) of sh, stored as T,
+// to w as little-endian int64s, encoded straight from the shard
+// through one page of min(wirePage, 8·length) bytes.
+func writeChunk[T int32 | int64](w io.Writer, sh *Shard, start, length int64) error {
+	pw := newPageWriter(w, 8*length)
+	putVals(pw, sh.Positions.(engine.PosSlice[T])[start-sh.Start:][:length])
+	return pw.close()
+}
 
 // fetchChunk pulls values [start, start+len(dst)) of slot's shard from
-// peer k into dst, decoding the body page by page; a body that ends
-// early or runs past the last value is refused. The wire carries
-// int64s; a []int32 dst is only asked for values of a narrow n, which
-// fit. ctx is the hedging seam: a losing racer is cancelled here, and
-// the cancellation is not held against k's health. On an error dst may
+// peer k into dst, decoding the body through one page of
+// min(wirePage, 8·len(dst)) bytes; a body that ends early, runs past
+// the last value or carries a value outside [0, n) is refused. The
+// wire carries int64s; a []int32 dst is only asked for values of a
+// narrow n, so every value that passes the range check fits. ctx is
+// the hedging seam: a losing racer is cancelled here, and the
+// cancellation is not held against k's health. On an error dst may
 // hold part of the span.
 func fetchChunk[T int32 | int64](ctx context.Context, nd *Node, k int, n int64, seed uint64, dst []T, start int64) error {
 	u := fmt.Sprintf("%s/v1/cluster/chunk?n=%d&seed=%d&start=%d&len=%d",
@@ -542,16 +603,23 @@ func fetchChunk[T int32 | int64](ctx context.Context, nd *Node, k int, n int64, 
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return nd.peerError(k, RoundServe, "chunk", fmt.Errorf("%s: %s", resp.Status, msg))
 	}
-	page := make([]byte, min(chunkPage, 8*len(dst)))
-	for rest := dst; len(rest) > 0; {
-		m := min(len(rest), chunkPage/8)
+	page := make([]byte, min(wirePage, 8*len(dst)))
+	for at := 0; at < len(dst); {
+		m := min(len(dst)-at, len(page)/8)
 		if _, err := io.ReadFull(resp.Body, page[:8*m]); err != nil {
 			return nd.peerError(k, RoundServe, "chunk", fmt.Errorf("short read: %w", err))
 		}
-		for t := range rest[:m] {
-			rest[t] = T(binary.LittleEndian.Uint64(page[8*t:]))
+		seg := dst[at : at+m]
+		for t := range seg {
+			// Every value of the permutation lies in [0, n): one outside
+			// it is corruption, never a value to serve.
+			v := binary.LittleEndian.Uint64(page[8*t:])
+			if v >= uint64(n) {
+				return nd.peerError(k, RoundServe, "chunk", fmt.Errorf("value %d at index %d outside [0, %d)", int64(v), start+int64(at+t), n))
+			}
+			seg[t] = T(v)
 		}
-		rest = rest[m:]
+		at += m
 	}
 	var one [1]byte
 	switch _, err := io.ReadFull(resp.Body, one[:]); err {
