@@ -134,7 +134,8 @@ func (m *Matrix) CheckMargins(rowM, colM []int64) error {
 	return nil
 }
 
-// String renders the matrix for debugging and the matgen tool.
+// String renders the matrix one row per line, for debugging and as a
+// map key in the exact-law tests.
 func (m *Matrix) String() string {
 	var sb strings.Builder
 	for i := 0; i < m.rows; i++ {

@@ -4,7 +4,7 @@ import "fmt"
 
 // CheckPermutation verifies that out is a rearrangement of in: the same
 // multiset of values, with block sizes matching wantSizes. It is the
-// correctness oracle used by tests and examples.
+// correctness oracle the tests use.
 func CheckPermutation[T comparable](in, out [][]T, wantSizes []int64) error {
 	if len(out) != len(wantSizes) {
 		return fmt.Errorf("core: %d output blocks, want %d", len(out), len(wantSizes))

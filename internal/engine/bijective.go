@@ -30,7 +30,7 @@ import (
 // S_n. What the family does deliver (and what the chi-square tests in
 // bijective_test.go pin down) is uniform *marginals*: over random
 // seeds, Index(i) is uniform on [0, n) for every i. Callers that need
-// exact uniformity over S_n — the statistical harness, permverify —
+// exact uniformity over S_n — the statistical harness, for one —
 // must gate on Backend.ExactUniform() and use Sim, SharedMem or
 // InPlace.
 

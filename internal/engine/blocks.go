@@ -32,16 +32,6 @@ func blockTotals[T any](in [][]T, outSizes []int64) (int64, error) {
 	return n, nil
 }
 
-// flattenBlocks returns the blocks concatenated in order into one
-// freshly allocated slice of length n.
-func flattenBlocks[T any](in [][]T, n int64) []T {
-	flat := make([]T, 0, n)
-	for _, b := range in {
-		flat = append(flat, b...)
-	}
-	return flat
-}
-
 // splitBlocks partitions flat into consecutive blocks of the given
 // sizes; the blocks alias flat's backing array.
 func splitBlocks[T any](flat []T, outSizes []int64) [][]T {

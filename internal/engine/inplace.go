@@ -116,11 +116,10 @@ func PermuteSliceInPlace[T any](data []T, blocks int, opt Options) ([]T, error) 
 // The returned blocks alias the one backing slice; the input is not
 // modified.
 func PermuteBlocksInPlace[T any](in [][]T, outSizes []int64, opt Options) ([][]T, error) {
-	n, err := blockTotals(in, outSizes)
-	if err != nil {
+	if _, err := blockTotals(in, outSizes); err != nil {
 		return nil, err
 	}
-	flat := flattenBlocks(in, n)
+	flat := core.Flatten(in)
 	if err := ShuffleInPlace(flat, len(in), opt); err != nil {
 		return nil, err
 	}

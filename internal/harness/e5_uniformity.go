@@ -131,7 +131,7 @@ func E5(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			counts[stats.RankPermInt64(flatten64(out))]++
+			counts[stats.RankPermInt64(core.Flatten(out))]++
 		}
 		if err := addResult(name, false, counts); err != nil {
 			return nil, err
@@ -140,14 +140,6 @@ func E5(cfg Config) (*Table, error) {
 	t.AddNote("alpha = %.3f; alg1 rows must read uniform, the two controls must read NON-UNIFORM", alpha)
 	t.AddNote("expected count per cell: %.1f", float64(trials)/float64(stats.Factorial(n)))
 	return t, nil
-}
-
-func flatten64(blocks [][]int64) []int64 {
-	var out []int64
-	for _, b := range blocks {
-		out = append(out, b...)
-	}
-	return out
 }
 
 // hashName derives a per-method seed offset so methods do not share

@@ -1,8 +1,9 @@
 // Package lru is permd's one bounded cache: a map holding at most a
 // fixed number of entries, evicted least recently used first, whose
 // values are built on first use. Every cache of the daemon — Permuter
-// handles, cluster shards, quota buckets and epoch-key derivers — is a
-// Cache, so the policy below is stated and implemented once:
+// handles, cluster shards, the cluster's routed source slots, quota
+// buckets and epoch-key derivers — is a Cache, so the policy below is
+// stated and implemented once:
 //
 //   - single flight: callers racing on one key share one build;
 //   - LRU eviction: inserting past the capacity drops the least

@@ -17,8 +17,8 @@ const (
 	// BackendSim (the default) runs on the simulated PRO machine of the
 	// paper: one goroutine per simulated processor, message passing
 	// through mailboxes, and full superstep/byte/draw accounting in the
-	// Report. This is the paper-fidelity path used by permverify and
-	// the experiment harness.
+	// Report. This is the paper-fidelity path used by the experiment
+	// harness.
 	BackendSim Backend = iota
 	// BackendSharedMem runs the same four phases of Algorithm 1
 	// directly on shared memory, with no simulated machine at all: the
@@ -71,9 +71,9 @@ func (b Backend) String() string { return b.internal().String() }
 // ExactUniform reports whether the backend draws from the exactly
 // uniform distribution over all n! permutations. It is false only for
 // BackendBijective, whose keyed-family distribution is documented on
-// the constant; statistical tooling (the experiment harness, permverify
-// and any caller whose correctness depends on exact uniformity) must
-// check this gate before accepting a backend.
+// the constant; statistical tooling (the experiment harness and any
+// caller whose correctness depends on exact uniformity) must check this
+// gate before accepting a backend.
 func (b Backend) ExactUniform() bool { return b != BackendBijective }
 
 func (b Backend) internal() engine.Backend {
