@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+	"unsafe"
 
 	"randperm/internal/core"
 	"randperm/internal/xrand"
@@ -54,6 +55,7 @@ type Bijection struct {
 	keys []uint64 // per-round keys, expanded from the seed
 	pre  []uint64 // keys premixed as k ^ k>>30 (see feistelRound); nil when half > 30
 	seed uint64   // construction seed, for re-derivation and debugging
+	vec  bool     // Chunk runs full batches on feistel64 (an AVX-512 host, pre != nil)
 }
 
 // NewBijection returns the bijection on [0, n) selected by seed, with
@@ -95,8 +97,20 @@ func NewBijectionRounds(n int64, seed uint64, rounds int) *Bijection {
 		for i, k := range b.keys {
 			b.pre[i] = k ^ k>>30
 		}
+		b.vec = hasAVX512
 	}
 	return b
+}
+
+// FeistelKernel names the kernel Bijection.Chunk runs on this host:
+// "avx512" when the CPU and OS support feistel64, which then evaluates
+// every full 64-index batch of a domain n <= 2^60; "generic" when the
+// Go lane loop does all the work. Both give the same bytes.
+func FeistelKernel() string {
+	if hasAVX512 {
+		return "avx512"
+	}
+	return "generic"
 }
 
 // N returns the domain size n.
@@ -147,28 +161,33 @@ func (b *Bijection) Inverse(y int64) int64 {
 	}
 }
 
-// bijLanes is the interleave width of the batched evaluator: enough
-// independent Feistel chains in flight to hide the round function's
-// multiply latency behind throughput (the serial evaluator is pure
-// latency: ~15 cycles of dependent ALU work per round). The lane halves
-// live in two 16-word stack arrays — L1, not registers; each pass of
-// the round loop holds one lane's halves in registers at a time.
-const bijLanes = 16
+// bijLanes is the batch width of Chunk: enough independent Feistel
+// chains in flight to hide the round function's multiply latency behind
+// throughput (the serial evaluator is pure latency: ~15 cycles of
+// dependent ALU work per round). On an AVX-512 host feistel64 holds a
+// whole batch in eight zmm vectors per half (its register allocation
+// fixes the width at 64); the Go lane loop keeps the halves in two
+// stack arrays — L1, not registers — and holds one lane's halves in
+// registers at a time.
+const bijLanes = 64
 
 // Chunk fills dst[k] = Index(start+k) for k in [0, len(dst)): the batch
 // evaluator behind Permuter.Chunk and the materializing helpers. The
-// indices are evaluated bijLanes at a time with the rounds interleaved
-// across lanes, so the independent per-index chains pipeline instead of
-// serializing on each round's multiply latency; out-of-domain images
-// are re-encrypted as a shrinking batch until every lane has walked
-// back under n (cycle-walking, exactly the per-index walk Index does —
-// same function, same result, pinned by TestBijectionChunkMatchesIndex).
-// When the superdomain equals the domain (n a power of two with an even
-// bit width) the walk is skipped entirely. start must satisfy
-// 0 <= start and start+len(dst) <= n. Safe for concurrent use.
+// indices are evaluated bijLanes at a time, in place in dst, with the
+// rounds interleaved across lanes, so the independent per-index chains
+// pipeline instead of serializing on each round's multiply latency;
+// out-of-domain images are re-encrypted as a shrinking batch until
+// every lane has walked back under n (cycle-walking, exactly the
+// per-index walk Index does — same function, same result, pinned by
+// TestBijectionChunkMatchesIndex). When the superdomain equals the
+// domain (n a power of two with an even bit width) the walk is skipped
+// entirely. Full batches run feistel64 where b.vec allows; the tail and
+// every other host run the Go lane loop, which is the reference
+// (TestFeistelKernelsAgree). start must satisfy 0 <= start and
+// start+len(dst) <= n. Safe for concurrent use.
 func (b *Bijection) Chunk(dst []int64, start int64) {
-	if start < 0 || start+int64(len(dst)) > max(b.n, 1) {
-		panic(fmt.Sprintf("engine: Bijection.Chunk [%d, %d) outside [0, %d)", start, start+int64(len(dst)), b.n))
+	if start < 0 || int64(len(dst)) > max(b.n, 1)-start {
+		panic(fmt.Sprintf("engine: Bijection.Chunk [%d, +%d) outside [0, %d)", start, len(dst), b.n))
 	}
 	if b.n <= 1 {
 		for k := range dst {
@@ -180,44 +199,44 @@ func (b *Bijection) Chunk(dst []int64, start int64) {
 	full := uint64(1)<<(2*b.half) == n
 	var x [bijLanes]uint64
 	var pend [bijLanes]int
-	for k := 0; k < len(dst); {
-		m := min(bijLanes, len(dst)-k)
-		lanes := x[:m]
-		for l := range lanes {
-			lanes[l] = uint64(start) + uint64(k+l)
-		}
-		b.encryptLanes(lanes)
-		if full {
-			for l, v := range lanes {
-				dst[k+l] = int64(v)
-			}
+	for k := 0; k < len(dst); k += bijLanes {
+		// The batch's slots of dst hold its lanes: int64 and uint64
+		// share a layout, and every image ends below n <= MaxInt64.
+		lanes := unsafe.Slice((*uint64)(unsafe.Pointer(&dst[k])), min(bijLanes, len(dst)-k))
+		base := uint64(start) + uint64(k)
+		if b.vec && len(lanes) == bijLanes {
+			feistel64((*[bijLanes]uint64)(lanes), base, b.pre, b.half, b.mask)
 		} else {
-			// Optimistic write, then walk the escapees as a batch: lane
-			// compaction keeps the re-encryptions interleaved too.
-			np := 0
-			for l, v := range lanes {
-				if v < n {
-					dst[k+l] = int64(v)
-				} else {
-					pend[np], x[np] = k+l, v
-					np++
-				}
+			for l := range lanes {
+				lanes[l] = base + uint64(l)
 			}
-			for np > 0 {
-				b.encryptLanes(x[:np])
-				w := 0
-				for l, v := range x[:np] {
-					if v < n {
-						dst[pend[l]] = int64(v)
-					} else {
-						pend[w], x[w] = pend[l], v
-						w++
-					}
-				}
-				np = w
+			b.encryptLanes(lanes)
+		}
+		if full {
+			continue
+		}
+		// Walk the escapees as a batch: lane compaction keeps the
+		// re-encryptions interleaved too.
+		np := 0
+		for l, v := range lanes {
+			if v >= n {
+				pend[np], x[np] = l, v
+				np++
 			}
 		}
-		k += m
+		for np > 0 {
+			b.encryptLanes(x[:np])
+			w := 0
+			for l, v := range x[:np] {
+				if v < n {
+					lanes[pend[l]] = v
+				} else {
+					pend[w], x[w] = pend[l], v
+					w++
+				}
+			}
+			np = w
+		}
 	}
 }
 

@@ -21,13 +21,16 @@ import (
 // what lets permd serve 2^40-element domains without materializing
 // anything. The bijection holds O(1) state, so the fuzzer can roam the
 // full int64 range of n for free. The batch evaluator must agree with
-// the scalar one too: Chunk over a window of 1 to bijLanes+1 indices
-// at i (its width drawn from the seed) equals Index element by element.
+// the scalar one too, in both kernels: Chunk over a window of 1 to
+// 2*bijLanes+1 indices at i (its width drawn from the seed), run by the
+// AVX-512 kernel where the host has it and by the generic lane loop,
+// equals Index element by element.
 func FuzzBijectionIndexInverse(f *testing.F) {
 	f.Add(int64(1), uint64(0), int64(0))
 	f.Add(int64(2), uint64(42), int64(1))
 	f.Add(int64(1000), uint64(7), int64(999))
 	f.Add(int64(1)<<40, uint64(99999), int64(123456789))
+	f.Add(int64(1)<<40, uint64(100), int64(1)<<39+5) // width 101
 	f.Add(int64(3)<<61, uint64(1), int64(5)<<59)
 	f.Fuzz(func(t *testing.T, n int64, seed uint64, i int64) {
 		if n <= 0 {
@@ -53,13 +56,17 @@ func FuzzBijectionIndexInverse(f *testing.F) {
 		if back := b.Index(x); back != i {
 			t.Fatalf("Index(Inverse(%d)) = %d (n=%d seed=%d)", i, back, n, seed)
 		}
-		w := min(1+int64(seed%(bijLanes+1)), n)
+		w := min(1+int64(seed%(2*bijLanes+1)), n)
 		start := min(i, n-w)
-		win := make([]int64, w)
-		b.Chunk(win, start)
-		for k, v := range win {
-			if want := b.Index(start + int64(k)); v != want {
-				t.Fatalf("Chunk[%d] = %d, Index = %d (n=%d seed=%d width=%d)", start+int64(k), v, want, n, seed, w)
+		generic := *b
+		generic.vec = false
+		for _, c := range []*Bijection{b, &generic} {
+			win := make([]int64, w)
+			c.Chunk(win, start)
+			for k, v := range win {
+				if want := b.Index(start + int64(k)); v != want {
+					t.Fatalf("Chunk[%d] = %d, Index = %d (n=%d seed=%d width=%d vec=%v)", start+int64(k), v, want, n, seed, w, c.vec)
+				}
 			}
 		}
 	})

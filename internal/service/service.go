@@ -1075,7 +1075,10 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 
 // handleHealthz serves a JSON liveness probe that doubles as a config
 // echo, so an operator (or a replica checking compatibility) can read
-// the pinned decomposition width the determinism contract depends on.
+// the pinned decomposition width the determinism contract depends on,
+// and which Feistel kernel this host's bijective chunks run on (the
+// AVX-512 one serves several times the generic one's items per second,
+// with the same bytes).
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	body := map[string]any{
@@ -1091,6 +1094,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"max_epoch":       s.cfg.MaxEpoch,
 		"quota":           s.quota != nil,
 		"workloads":       []string{"assign", "epochs"},
+		"feistel_kernel":  engine.FeistelKernel(),
 		"events": map[string]any{
 			"subscribers":     s.bus.Subscribers(),
 			"max_subscribers": s.cfg.Events.MaxSubscribers,

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"randperm"
+	"randperm/internal/engine"
 	"randperm/internal/events"
 	"randperm/internal/lru"
 )
@@ -527,6 +528,9 @@ func TestHealthz(t *testing.T) {
 	}
 	if h["status"] != "ok" || h["procs"] != float64(4) || h["default_backend"] != "bijective" {
 		t.Errorf("healthz fields wrong: %v", h)
+	}
+	if k := h["feistel_kernel"]; k != engine.FeistelKernel() || (k != "avx512" && k != "generic") {
+		t.Errorf("healthz feistel_kernel = %v, want %q", k, engine.FeistelKernel())
 	}
 }
 
